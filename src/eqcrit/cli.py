@@ -2,8 +2,9 @@
 
 Every subcommand writes one JSON document (CSV for sweep) to stdout and
 diagnostics to stderr.  Exit codes: 0 success, 1 domain error (poles,
-field too small, precondition failures), 2 negative-but-valid results
-(NoPair, nonexistence verdicts, Undecided equivalence).
+field too small, precondition failures, arithmetic overflow), 2
+negative-but-valid results (NoPair, nonexistence verdicts, Undecided
+equivalence).
 """
 
 from __future__ import annotations
@@ -360,7 +361,7 @@ def main(argv=None) -> int:
         _emit({"error": {"type": type(exc).__name__, "message": str(exc)}})
         print(f"error: {exc}", file=sys.stderr)
         return _ERROR_EXIT
-    except (ValueError, ZeroDivisionError, OSError, KeyError) as exc:
+    except (ValueError, ArithmeticError, OSError, KeyError) as exc:
         _emit({"error": {"type": type(exc).__name__, "message": str(exc)}})
         print(f"error: {exc}", file=sys.stderr)
         return _ERROR_EXIT

@@ -4,7 +4,6 @@ critical j-invariants, constructive lifts, and twist scales."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -13,7 +12,7 @@ from .critical import cvpoly, post_compose
 from .errors import (EllipticJ, EllipticTargetObstruction, JMismatch,
                      NoRationalFiberPoint, NotDistinct, VerificationError)
 from .fields import QQ, AlgElem, FieldSpec
-from .poly import Poly, rational_roots
+from .poly import Poly, iroot, rational_roots
 
 
 class _Infinity:
@@ -261,26 +260,17 @@ def classify_critical_values(y1, y2, y3, field: FieldSpec = QQ) -> ClassifyResul
     return ClassifyResult(j, u is not None, u)
 
 
-def _rational_cbrt(r: Fraction) -> Optional[Fraction]:
-    def icbrt(n: int) -> Optional[int]:
-        if n < 0:
-            v = icbrt(-n)
-            return -v if v is not None else None
-        c = round(n ** (1 / 3)) if n else 0
-        for k in (c - 2, c - 1, c, c + 1, c + 2):
-            if k >= 0 and k ** 3 == n:
-                return k
-        return None
-    pn, pd = icbrt(r.numerator), icbrt(r.denominator)
-    return Fraction(pn, pd) if pn is not None and pd is not None else None
-
-
-def _rational_sqrt(r: Fraction) -> Optional[Fraction]:
+def _rational_root(r: Fraction, k: int) -> Optional[Fraction]:
+    """The rational k-th root of r (the nonnegative one for even k), or None
+    when r has none; exact for every size of r."""
     if r < 0:
-        return None
-    sn, sd = math.isqrt(r.numerator), math.isqrt(r.denominator)
-    if sn * sn == r.numerator and sd * sd == r.denominator:
-        return Fraction(sn, sd)
+        if k % 2 == 0:
+            return None
+        root = _rational_root(-r, k)
+        return -root if root is not None else None
+    n, d = iroot(r.numerator, k), iroot(r.denominator, k)
+    if n ** k == r.numerator and d ** k == r.denominator:
+        return Fraction(n, d)
     return None
 
 
@@ -300,14 +290,14 @@ def _transport(f0: Poly, q0: Poly, q1: Poly) -> Optional[Poly]:
     elif A0.is_zero():
         # j = 0: need a rational cube root of B1/B0
         ratio = (B1 / B0).as_rational()
-        root = _rational_cbrt(ratio)
+        root = _rational_root(ratio, 3)
         if root is None:
             return None
         alpha = field.coerce(root)
     else:
         # j = 1728: need a rational square root of A1/A0
         ratio = (A1 / A0).as_rational()
-        root = _rational_sqrt(ratio)
+        root = _rational_root(ratio, 2)
         if root is None:
             return None
         alpha = field.coerce(root)

@@ -414,20 +414,29 @@ def _pollard_rho(n: int, rng: random.Random) -> int:
             return g
 
 
+def iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) for integers n >= 0 and k >= 1, exactly, by Newton's
+    method on integers."""
+    if n < 0:
+        raise ValueError("iroot of a negative integer")
+    if n < 2:
+        return n
+    x = 1 << -(-n.bit_length() // k)  # 2^ceil(bits/k) > n^(1/k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
 def _perfect_power(n: int) -> tuple[int, int] | None:
     """(m, k) with m^k = n and k > 1, if such exists."""
     for k in (2, 3, 5, 7):
         if n.bit_length() < k:
             continue
-        lo, hi = 1, 1 << (n.bit_length() // k + 1)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if mid ** k < n:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo ** k == n:
-            return lo, k
+        m = iroot(n, k)
+        if m ** k == n:
+            return m, k
     return None
 
 

@@ -106,29 +106,55 @@ def _fp_roots_with_multiplicity(f: FpPoly) -> list[tuple[int, int]]:
     return out
 
 
+# x values per block of the direct sum: its working memory is a few
+# arrays of this length, whatever p is.
+_BLOCK = 1 << 16
+
+
 def weyl_direct(f: FpPoly, a: int, p: int) -> complex:
-    """(1/p) sum over x mod p^2 of e(a f(x)/p^2); O(p^2) terms."""
+    """(1/p) sum over x mod p^2 of e(a f(x)/p^2); O(p^2) terms, evaluated
+    in blocks of fixed size.
+
+    Every term is computed from f's coefficients, independently of the
+    critical-point reduction that it cross-checks.  Each residue
+    r = a f(x) mod p^2 splits exactly as r = hi p + lo with hi, lo < p, so
+    e(r/p^2) = e(hi/p) e(lo/p^2) comes from two tables of p entries.
+    """
     check_prime(p)
     if math.gcd(a, p) != 1:
         raise NotCoprime(f"gcd({a}, {p}) != 1")
     q = p * p
     if f.q != q:
         raise ValueError("polynomial must be reduced mod p^2")
-    x = np.arange(q, dtype=np.int64)
-    acc = np.zeros(q, dtype=np.int64)
-    for c in reversed(f.coeffs):
-        acc = (acc * x + c) % q
-    phases = np.exp((2j * np.pi / q) * ((a % q) * acc % q))
-    return complex(phases.sum() / p)
+    # Horner on a f(x) mod q in int64: operands stay below q < 2^27
+    # (MAX_PRIME^2), so products stay below 2^54.
+    coeffs = [a * c % q for c in reversed(f.coeffs)] or [0]
+    k = np.arange(p)
+    e_hi = np.exp((2j * np.pi / p) * k)
+    e_lo = np.exp((2j * np.pi / q) * k)
+    total = 0j
+    for start in range(0, q, _BLOCK):
+        x = np.arange(start, min(start + _BLOCK, q), dtype=np.int64)
+        r = np.full_like(x, coeffs[0])
+        for c in coeffs[1:]:
+            r *= x
+            r += c
+            r %= q
+        hi, lo = np.divmod(r, p)
+        phases = e_hi[hi]
+        phases *= e_lo[lo]
+        total += complex(phases.sum())
+    return total / p
 
 
-def weyl_reduced(f: FpPoly, a: int, p: int) -> complex:
-    """The critical-point reduction of the mod-p^2 Weyl sum:
-    sum of e(a f(v)/p^2) over v in F_p with f'(v) = 0 mod p.
+def critical_residues(f: FpPoly, a: int, p: int) -> list[int]:
+    """a f(u) mod p^2 for each u in [0, p) with f'(u) = 0 mod p, in
+    increasing u.
 
-    Splitting x = u + pv in the direct sum collapses it to this O(p) form
-    whenever gcd(a, p) = 1; the values f(v) are taken mod p^2 (they are
-    well defined there because f'(v) vanishes mod p).
+    Splitting x = u + pv gives f(u + pv) = f(u) + pv f'(u) mod p^2 for every
+    u, so the direct sum collapses to sum of e(r/p^2) over these residues r
+    whenever gcd(a, p) = 1.  Equal residue multisets for two polynomials
+    therefore prove their mod-p^2 Weyl sums equal, exactly.
     """
     check_prime(p)
     if math.gcd(a, p) != 1:
@@ -139,10 +165,17 @@ def weyl_reduced(f: FpPoly, a: int, p: int) -> complex:
     if not f.coeffs or f.degenerate_leading():
         raise DegenerateLeadingCoefficient("leading coefficient vanishes mod p")
     fp = f.derivative()
+    return [a * f(u) % q for u in range(p) if fp(u) % p == 0]
+
+
+def weyl_reduced(f: FpPoly, a: int, p: int) -> complex:
+    """The critical-point reduction of the mod-p^2 Weyl sum:
+    sum of e(a f(v)/p^2) over v in F_p with f'(v) = 0 mod p, in O(p) terms
+    (see critical_residues)."""
+    q = p * p
     total = 0j
-    for v in range(p):
-        if fp(v) % p == 0:
-            total += cmath.exp(2j * cmath.pi * (a * f(v) % q) / q)
+    for r in critical_residues(f, a, p):
+        total += cmath.exp(2j * cmath.pi * r / q)
     return total
 
 
@@ -180,6 +213,7 @@ class WeylReport:
     crit_found_g: int
     crit_expected: int
     exact_multiset_equal: bool
+    exact_p2_multiset_equal: bool
     guards: dict
     tolerance: float
 
@@ -201,6 +235,7 @@ class WeylReport:
             "reduced_f": [self.reduced_f.real, self.reduced_f.imag],
             "reduced_g": [self.reduced_g.real, self.reduced_g.imag],
             "exact_multiset_equal": self.exact_multiset_equal,
+            "exact_p2_multiset_equal": self.exact_p2_multiset_equal,
             "crit_rational": [self.crit_found_f, self.crit_found_g],
             "guards": self.guards,
             "pair_difference": self.pair_difference,
@@ -234,7 +269,8 @@ def fd_pair_check(t: int, p: int, a: int,
                   tolerance: float | None = None) -> WeylReport:
     """Build the integral pair F = 3(t+2)^4 f_t, G = 3(t+2)^4 g_t, reduce
     mod p and p^2, compute all four Weyl values, and check the exact value
-    multiset {a F(v) mod p : F'(v) = 0} against G's.
+    multisets {a F(v) mod p : F'(v) = 0} and {a F(u) mod p^2 : F'(u) = 0
+    mod p} against G's; equality of the second proves W_F = W_G exactly.
 
     Preconditions: p > 3 prime, gcd(a, p) = 1, p does not divide t(t-1)
     (the stated condition) nor 3(t+2) (leading-coefficient guard; a
@@ -275,6 +311,8 @@ def fd_pair_check(t: int, p: int, a: int,
         reduced_f=reduced_f, reduced_g=reduced_g,
         crit_found_f=found_f, crit_found_g=found_g, crit_expected=expected,
         exact_multiset_equal=(mf == mg),
+        exact_p2_multiset_equal=(sorted(critical_residues(Fq, a, p))
+                                 == sorted(critical_residues(Gq, a, p))),
         guards={"condition_p_ndiv_t(t-1)": stated_ok,
                 "guard_p_ndiv_3(t+2)": guard_ok},
         tolerance=tol)

@@ -280,6 +280,7 @@ def test_criterion_8_weyl_sums():
             assert abs(rep.direct_f - rep.reduced_f) < tol
             assert abs(rep.direct_g - rep.reduced_g) < tol
             assert rep.pair_difference < tol
+            assert rep.exact_p2_multiset_equal
             if rep.crit_found_f == 3 and rep.crit_found_g == 3:
                 assert rep.exact_multiset_equal
             done += 1

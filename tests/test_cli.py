@@ -136,10 +136,17 @@ def test_classify_and_lift(capsys):
         assert code2 == 2 and doc2["lift"] is None
 
 
+def test_pair_overflow_exit_1(capsys):
+    # the float display of the critical values overflows at this size
+    code, doc = run_cli(capsys, "pair", "--t", "1e40")
+    assert code == 1 and doc["error"]["type"] == "OverflowError"
+
+
 def test_weyl_command(capsys):
     code, doc = run_cli(capsys, "weyl", "--t", "42", "--p", "101", "--a", "7")
     assert code == 0
     assert doc["exact_multiset_equal"] is True
+    assert doc["exact_p2_multiset_equal"] is True
     assert doc["within_tolerance"] is True
     assert abs(doc["W_f"][0] - doc["W_g"][0]) < 1e-9
     code, doc = run_cli(capsys, "weyl", "--t", "42", "--p", "7", "--a", "2",

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from eqcrit.errors import (EllipticJ, JMismatch, NoRationalFiberPoint,
                            NotDistinct)
 from eqcrit.fields import Q_SQRT3, QQ
 from eqcrit.moduli import (CURVE_J0, CURVE_J1728, INF, ShortWeierstrass,
-                           all_lifts, beta4, cj_membership,
+                           _rational_root, all_lifts, beta4, cj_membership,
                            classify_critical_values, curve_with_j,
                            fiber_beta4, fiber_polynomial, is_inf, j_of_cubic,
                            jcv_of_curve, lift_quartic, lifts_from_cvpoly, pi3,
@@ -274,6 +275,25 @@ def test_elliptic_target_best_effort():
                    Fraction(-1, 48)))
     assert affine_equivalent(partner, g0).status == "Equivalent"
     assert affine_equivalent(partner, p0).status == "Inequivalent"
+
+
+def test_rational_root_is_exact_for_large_inputs():
+    t0 = time.time()
+    m = 10 ** 30 + 1
+    assert _rational_root(Fraction(m ** 3), 3) == m
+    assert _rational_root(Fraction(-m ** 3, 8), 3) == Fraction(-m, 2)
+    assert _rational_root(Fraction(m ** 3 + 1), 3) is None
+    # beyond the float range: exact, not OverflowError
+    assert _rational_root(Fraction(10 ** 400), 3) is None
+    assert _rational_root(Fraction(10 ** 399), 3) == 10 ** 133
+    assert _rational_root(Fraction(10 ** 400, 9), 2) == Fraction(10 ** 200, 3)
+    assert _rational_root(Fraction(-4), 2) is None
+    # the j = 0 transport needs that cube root: (10^30+1)(3x^4 + 12x)
+    target = Poly(QQ, (729 * m ** 3, 0, 0, 1))
+    lifts = lifts_from_cvpoly(target)
+    assert lifts and all(cvpoly(L).poly == target for L in lifts)
+    assert Poly(QQ, (0, 12 * m, 0, 0, 3 * m)) in lifts
+    assert time.time() - t0 < 10
 
 
 def test_twist_scale():

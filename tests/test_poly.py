@@ -6,8 +6,8 @@ import sympy
 
 from eqcrit.fields import Q_SQRT3, QQ
 from eqcrit.poly import (Poly, divisors, divmod_poly, exact_div, factorint,
-                         interpolate, poly_gcd, rational_roots, resultant,
-                         resultant_bivariate, squarefree_part)
+                         interpolate, iroot, poly_gcd, rational_roots,
+                         resultant, resultant_bivariate, squarefree_part)
 
 X = Poly(QQ, (0, 1))
 
@@ -196,6 +196,20 @@ def test_interpolation_roundtrip():
         nodes = list(range(7))
         vals = [p(n) for n in nodes]
         assert interpolate(QQ, nodes, vals) == p
+
+
+def test_iroot_is_the_exact_floor_root():
+    rng = random.Random(17)
+    cases = [(n, k) for n in range(200) for k in range(1, 6)]
+    cases += [(rng.getrandbits(rng.randint(1, 1500)), rng.randint(1, 9))
+              for _ in range(500)]
+    cases += [(m ** k + d, k) for m in (10 ** 30 + 1, 2 ** 521 - 1)
+              for k in (2, 3, 7) for d in (-1, 0, 1)]
+    for n, k in cases:
+        m = iroot(n, k)
+        assert m ** k <= n < (m + 1) ** k
+    with pytest.raises(ValueError):
+        iroot(-8, 3)
 
 
 def test_factorint_and_divisors():

@@ -1,13 +1,15 @@
+import cmath
 import math
 import random
+import tracemalloc
 
 import pytest
 
 from eqcrit.errors import (DegenerateLeadingCoefficient, NotCoprime, NotPrime,
                            PoleAtT)
-from eqcrit.weyl import (FpPoly, crit_values_mod_p, default_tolerance,
-                         fd_pair_check, is_prime, scaled_integral_pair,
-                         weyl_direct, weyl_reduced)
+from eqcrit.weyl import (FpPoly, crit_values_mod_p, critical_residues,
+                         default_tolerance, fd_pair_check, is_prime,
+                         scaled_integral_pair, weyl_direct, weyl_reduced)
 
 
 def test_is_prime():
@@ -25,6 +27,57 @@ def test_weyl_direct_x4_p5():
     w = weyl_direct(f2, 1, 5)
     assert abs(w - 1.0) < 1e-9
     assert abs(weyl_reduced(f2, 1, 5) - 1.0) < 1e-9
+
+
+def _weyl_oracle(coeffs, a, p):
+    """(1/p) sum over x mod p^2 of e(a f(x)/p^2), term by term in Python."""
+    q = p * p
+    total = 0j
+    for x in range(q):
+        fx = 0
+        for c in reversed(coeffs):
+            fx = fx * x + c
+        total += cmath.exp(2j * cmath.pi * (a * fx % q) / q)
+    return total / p
+
+
+def test_weyl_direct_matches_oracle_on_random_quartics():
+    # p = 257: q = 66049 spans more than one block and ends in a partial
+    # one; coefficients and a are left unreduced (negative or >= q)
+    rng = random.Random(0x3E1)
+    for p, count in ((5, 6), (7, 6), (13, 6), (257, 2)):
+        q = p * p
+        for _ in range(count):
+            coeffs = [rng.randint(-3 * q, 3 * q) for _ in range(5)]
+            a = rng.randint(1, p - 1) + p * rng.randint(-3 * p, 3 * p)
+            w = weyl_direct(FpPoly(p, q, tuple(coeffs)), a, p)
+            assert abs(w - _weyl_oracle(coeffs, a, p)) < 1e-9
+
+
+def test_weyl_direct_memory_is_bounded():
+    p = 1009
+    F, _ = scaled_integral_pair(42)
+    f = FpPoly.reduce(F, p, 2)
+    tracemalloc.start()
+    try:
+        weyl_direct(f, 7, p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
+def test_critical_residues_separate_values_equal_only_mod_p():
+    # x^4 and x^4 + p share the critical point 0 and agree mod p there,
+    # but not mod p^2; their Weyl sums differ accordingly (1 vs e(a/p))
+    p, a = 7, 3
+    f = FpPoly.reduce([0, 0, 0, 0, 1], p, 2)
+    g = FpPoly.reduce([p, 0, 0, 0, 1], p, 2)
+    assert crit_values_mod_p(FpPoly.reduce(f.coeffs, p, 1), p) == \
+        crit_values_mod_p(FpPoly.reduce(g.coeffs, p, 1), p)
+    assert critical_residues(f, a, p) == [0]
+    assert critical_residues(g, a, p) == [a * p]
+    assert abs(weyl_direct(f, a, p) - weyl_direct(g, a, p)) > 0.1
 
 
 def test_weyl_no_critical_points_gives_zero():
@@ -128,11 +181,13 @@ def test_scaled_integral_pair():
 def test_fd_pair_check_t42_p101():
     report = fd_pair_check(42, 101, 7)
     assert report.exact_multiset_equal
+    assert report.exact_p2_multiset_equal
     assert report.pair_difference < 1e-9
     assert report.within_tolerance
     assert report.guards["condition_p_ndiv_t(t-1)"]
     doc = report.to_json_dict()
     assert doc["p"] == 101 and doc["crit_rational"][0] == report.crit_found_f
+    assert doc["exact_p2_multiset_equal"] is True
 
 
 def test_fd_pair_check_guards():
