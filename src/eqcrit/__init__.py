@@ -9,14 +9,14 @@ from .critical import (CVPoly, EquivalenceVerdict, affine_equivalent,
 from .family import (EquicriticalPair, PairCase, f_t, g_t, gamma, j1, j2, jt,
                      pair, pipeline_pair, sweep, x1, x2)
 from .fields import (PRESETS, Q_OMEGA, Q_SQRT3, Q_ZETA12, QQ, AlgElem,
-                     FieldSpec, elem_inv)
+                     FieldSpec)
 from .moduli import (INF, ClassifyResult, Fiber, ProjValue, ShortWeierstrass,
                      all_lifts, beta4, cj_membership, classify_critical_values,
                      curve_with_j, fiber_beta4, j_of_cubic, jcv_of_curve,
                      lift_quartic, lifts_from_cvpoly, pi3, psi4, twist_scale,
                      weierstrass_integral)
-from .poly import (Poly, divisors, factorint, poly_gcd, rational_roots,
-                   resultant, resultant_bivariate, squarefree_part)
+from .poly import (Poly, poly_gcd, rational_roots, resultant,
+                   resultant_bivariate, squarefree_part)
 from .weyl import (FpPoly, WeylReport, crit_values_mod_p, fd_pair_check,
                    weyl_direct, weyl_reduced)
 

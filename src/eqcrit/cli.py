@@ -10,6 +10,7 @@ equivalence).
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import json
 import sys
@@ -67,13 +68,21 @@ def _display_root(field: FieldSpec) -> complex:
     return complex(sorted(roots, key=lambda z: (z.real, z.imag))[0])
 
 
-def display_critical_values(f: Poly) -> list[list[float]]:
-    """Numeric critical values via a fixed complex embedding: display only."""
+def display_critical_values(f: Poly) -> list[list[float]] | None:
+    """Numeric critical values via a fixed complex embedding: display only;
+    None when a coefficient or a value is not a finite float."""
     cv = critical.cvpoly(f).poly
     root = _display_root(f.field)
-    cs = [c.complex_embedding(root) for c in reversed(cv.coeffs)]
-    vals = np.roots(cs)
-    vals = sorted((complex(v) for v in vals), key=lambda z: (z.real, z.imag))
+    try:
+        cs = [c.complex_embedding(root) for c in reversed(cv.coeffs)]
+    except OverflowError:
+        return None
+    if not all(cmath.isfinite(c) for c in cs):
+        return None
+    vals = [complex(v) for v in np.roots(cs)]
+    if not all(cmath.isfinite(v) for v in vals):
+        return None
+    vals.sort(key=lambda z: (z.real, z.imag))
     return [[v.real, v.imag] for v in vals]
 
 
@@ -191,24 +200,24 @@ def _cmd_fiber(args) -> int:
     return 0
 
 
-def _cmd_classify(args) -> int:
-    y = [Fraction(v) for v in (args.y1, args.y2, args.y3)]
+def _classify_doc(y: list[Fraction]) -> dict:
+    """The j / exists / witness_u document that classify and lift share."""
     res = moduli.classify_critical_values(*y)
-    doc = {"j": jsonio.proj_to_json(res.j),
-           "exists": res.exists if isinstance(res.exists, bool) else "out-of-scope",
-           "witness_u": None if res.witness_u is None
-           else jsonio.format_rational(res.witness_u)}
+    return {"j": jsonio.proj_to_json(res.j),
+            "exists": res.exists if isinstance(res.exists, bool) else "out-of-scope",
+            "witness_u": None if res.witness_u is None
+            else jsonio.format_rational(res.witness_u)}
+
+
+def _cmd_classify(args) -> int:
+    doc = _classify_doc([Fraction(v) for v in (args.y1, args.y2, args.y3)])
     _emit(doc)
-    return 0 if res.exists is True else _NEGATIVE_EXIT
+    return 0 if doc["exists"] is True else _NEGATIVE_EXIT
 
 
 def _cmd_lift(args) -> int:
     y = [Fraction(v) for v in (args.y1, args.y2, args.y3)]
-    res = moduli.classify_critical_values(*y)
-    doc = {"j": jsonio.proj_to_json(res.j),
-           "exists": res.exists if isinstance(res.exists, bool) else "out-of-scope",
-           "witness_u": None if res.witness_u is None
-           else jsonio.format_rational(res.witness_u)}
+    doc = _classify_doc(y)
     try:
         lifts = moduli.all_lifts(*y)
     except (NoRationalFiberPoint, EllipticTargetObstruction) as exc:

@@ -21,11 +21,6 @@ class CVPoly:
     poly: Poly
     source_degree: int
 
-    def __eq__(self, other):
-        if not isinstance(other, CVPoly):
-            return NotImplemented
-        return self.poly == other.poly and self.source_degree == other.source_degree
-
 
 def cvpoly(f: Poly, d: int | None = None) -> CVPoly:
     """Critical-value polynomial of f: monic, degree d-1, computed as

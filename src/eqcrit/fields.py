@@ -3,7 +3,7 @@
 Scalars are ``fractions.Fraction`` throughout; an :class:`AlgElem` is a
 coordinate vector in the power basis 1, alpha, ..., alpha^(k-1) of
 Q[x]/(m).  A degree-1 modulus represents Q itself.  The modulus is only
-required to be squarefree, so the algebra may have zero divisors;
+required to be squarefree, so the algebra may have a zero divisor;
 inversion raises :class:`~eqcrit.errors.ZeroDivisor` in that case.
 """
 
@@ -27,8 +27,8 @@ def _as_fraction(v: RationalLike) -> Fraction:
 class FieldSpec:
     """A quotient algebra Q[x]/(m) with m monic squarefree.
 
-    ``named`` maps element names (sqrt3, omega, i, rho, C_const, R_const,
-    ...) to coordinate tuples when the element is representable.
+    ``named`` maps element names (sqrt3, omega, i, rho, ...) to coordinate
+    tuples when the element is representable.
     """
 
     __slots__ = ("modulus", "name", "generator_name", "named", "_deg")
@@ -338,11 +338,6 @@ class AlgElem:
         return acc
 
 
-def elem_inv(x: AlgElem) -> AlgElem:
-    """Inverse of x in its algebra; see :meth:`AlgElem.inverse`."""
-    return x.inverse()
-
-
 # -- built-in presets ------------------------------------------------------
 
 QQ = FieldSpec((0, 1), name="qq", generator_name="x0")
@@ -353,8 +348,6 @@ Q_SQRT3 = FieldSpec(
         "sqrt3": (_ZERO, _ONE),
         "rho": (_ONE, _ONE),                                  # 1 + sqrt3
         "rho_bar": (_ONE, Fraction(-1)),                      # 1 - sqrt3
-        "C_const": (Fraction(-1248), Fraction(-720)),         # -720 sqrt3 - 1248
-        "R_const": (Fraction(362), Fraction(209)),            # 362 + 209 sqrt3
     })
 
 Q_OMEGA = FieldSpec(
@@ -378,8 +371,6 @@ Q_ZETA12 = FieldSpec(
         "omega2": _z12(0, 0, -1, 0),      # -z^2
         "rho": _z12(1, 2, 0, -1),         # 1 + sqrt3
         "rho_bar": _z12(1, -2, 0, 1),     # 1 - sqrt3
-        "C_const": _z12(-1248, -1440, 0, 720),
-        "R_const": _z12(362, 418, 0, -209),
     })
 
 PRESETS: dict[str, FieldSpec] = {

@@ -20,10 +20,6 @@ def format_rational(r: Fraction | int) -> str:
     return f"{r.numerator}/{r.denominator}"
 
 
-def parse_rational(s: str) -> Fraction:
-    return Fraction(s)
-
-
 def elem_to_json(x: AlgElem) -> Any:
     return [format_rational(c) for c in x.coords]
 

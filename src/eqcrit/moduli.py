@@ -179,10 +179,6 @@ class Fiber:
     total_multiplicity: int = 4
 
     @property
-    def rational_points(self) -> list[tuple[ProjValue, int]]:
-        return self.points
-
-    @property
     def accounted_multiplicity(self) -> int:
         return sum(m for _, m in self.points)
 

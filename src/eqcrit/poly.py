@@ -4,19 +4,17 @@ Canonical form: no trailing zero coefficients; the zero polynomial has an
 empty coefficient vector and its ``degree`` is the sentinel ``None``
 (never -1 arithmetic).  Includes monic Euclidean gcd, Sylvester-matrix
 resultants by fraction-free (Bareiss) elimination, resultants over K[y]
-by evaluation-interpolation, and rational root extraction by divisor
-search.
+by evaluation-interpolation, and rational roots by p-adic lifting of the
+integer roots of a monic transform.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
-from .fields import AlgElem, FieldSpec, RationalLike
+from .fields import QQ, AlgElem, FieldSpec, RationalLike
 
 CoeffLike = Union[AlgElem, int, Fraction]
 
@@ -230,18 +228,6 @@ def squarefree_part(p: Poly) -> Poly:
     return exact_div(p, poly_gcd(p, p.derivative())).monic()
 
 
-def derivative(p: Poly) -> Poly:
-    return p.derivative()
-
-
-def compose(p: Poly, q: Poly) -> Poly:
-    return p.compose(q)
-
-
-def monic(p: Poly) -> Poly:
-    return p.monic()
-
-
 # -- resultants -------------------------------------------------------------
 
 
@@ -359,61 +345,6 @@ def interpolate(field: FieldSpec, nodes: Sequence[RationalLike],
 # -- rational roots ---------------------------------------------------------
 
 
-def _is_probable_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for n < 3.3e24."""
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _pollard_rho(n: int, rng: random.Random) -> int:
-    """Brent-cycle Pollard rho; n odd composite, returns a proper factor."""
-    while True:
-        y = rng.randrange(1, n)
-        c = rng.randrange(1, n)
-        m = 128
-        g = r = q = 1
-        x = ys = y
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = math.gcd(q, n)
-                k += m
-            r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
-        if g != n:
-            return g
-
-
 def iroot(n: int, k: int) -> int:
     """floor(n^(1/k)) for integers n >= 0 and k >= 1, exactly, by Newton's
     method on integers."""
@@ -429,113 +360,52 @@ def iroot(n: int, k: int) -> int:
         x = y
 
 
-def _perfect_power(n: int) -> tuple[int, int] | None:
-    """(m, k) with m^k = n and k > 1, if such exists."""
-    for k in (2, 3, 5, 7):
-        if n.bit_length() < k:
-            continue
-        m = iroot(n, k)
-        if m ** k == n:
-            return m, k
-    return None
+def _horner_mod(cs: list[int], x: int, m: int) -> int:
+    acc = 0
+    for c in reversed(cs):
+        acc = (acc * x + c) % m
+    return acc
 
 
-def factorint(n: int) -> dict[int, int]:
-    """Prime factorization of |n| (trial division, perfect-power peeling,
-    Miller-Rabin, Pollard rho with Brent's cycle detection)."""
-    return dict(_factorint_cached(abs(n)))
+def _integer_roots(t: list[int]) -> list[int]:
+    """The distinct integer roots of the monic squarefree integer polynomial
+    t (index = degree, t[0] != 0), by p-adic lifting (Loos, SIAM J. Comput.
+    12, 1983; von zur Gathen and Gerhard, Modern Computer Algebra, ch. 15).
 
-
-@lru_cache(maxsize=4096)
-def _factorint_cached(n: int) -> tuple[tuple[int, int], ...]:
-    out: dict[int, int] = {}
-    if n <= 1:
-        return ()
-    for p in (2, 3, 5, 7):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    d = 11
-    while d * d <= n and d < 10000:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 2
-    if n > 1:
-        rng = random.Random(0xEC4)
-        stack = [(n, 1)]
-        while stack:
-            v, mult = stack.pop()
-            if v == 1:
-                continue
-            if _is_probable_prime(v):
-                out[v] = out.get(v, 0) + mult
-                continue
-            power = _perfect_power(v)
-            if power is not None:
-                stack.append((power[0], mult * power[1]))
-                continue
-            f = _pollard_rho(v, rng)
-            stack.append((f, mult))
-            stack.append((v // f, mult))
-    return tuple(sorted(out.items()))
-
-
-def divisors(n: int) -> list[int]:
-    """All positive divisors of |n|, unsorted."""
-    out = [1]
-    for p, e in factorint(n).items():
-        out = [d * p ** k for d in out for k in range(e + 1)]
-    return out
-
-
-def _valuation(n: int, p: int) -> int:
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
-def _root_valuations(ints: list[int], p: int) -> list[int]:
-    """Admissible p-adic valuations of a rational root: the negated integer
-    slopes of the lower Newton polygon of the coefficients at p."""
-    pts = [(i, _valuation(c, p)) for i, c in enumerate(ints) if c != 0]
-    # lower convex hull, left to right
-    hull: list[tuple[int, int]] = []
-    for pt in pts:
-        while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            if (y2 - y1) * (pt[0] - x1) >= (pt[1] - y1) * (x2 - x1):
-                hull.pop()
-            else:
-                break
-        hull.append(pt)
-    out = []
-    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        num, den = y1 - y2, x2 - x1  # -slope
-        if num % den == 0:
-            out.append(num // den)
-    return out
-
-
-def _root_candidates(ints: list[int]) -> list[Fraction]:
-    """Candidate rational roots by divisor search restricted to the Newton
-    polygon valuations (the exact prime powers a root can carry)."""
-    primes = set(factorint(ints[0])) | set(factorint(ints[-1]))
-    magnitudes = [Fraction(1)]
-    for p in sorted(primes):
-        vals = _root_valuations(ints, p)
-        magnitudes = [m * Fraction(p) ** v for m in magnitudes for v in vals]
-    return sorted({sign * m for m in magnitudes for sign in (1, -1)})
+    Take the least m >= 2 at which every root r of t mod m has
+    gcd(t'(r), m) = 1; any prime not dividing disc(t) qualifies.  An integer
+    root y divides t[0], and y mod m is one of those r, whose Newton lift
+    mod m^(2^k) is unique; once the modulus exceeds 2|t[0]|, the symmetric
+    residue is y.  Lifted residues that are not roots fail the exact test.
+    """
+    dt = [i * c for i, c in enumerate(t)][1:]
+    m = 1
+    while True:
+        m += 1
+        tm, dm = [c % m for c in t], [c % m for c in dt]
+        starts = [r for r in range(m) if _horner_mod(tm, r, m) == 0]
+        if all(math.gcd(_horner_mod(dm, r, m), m) == 1 for r in starts):
+            break
+    roots = []
+    for r in starts:
+        mod = m
+        while mod <= 2 * abs(t[0]):
+            mod *= mod
+            r = (r - _horner_mod(t, r, mod)
+                 * pow(_horner_mod(dt, r, mod), -1, mod)) % mod
+        y = r - mod if 2 * r > mod else r
+        if sum(c * y ** i for i, c in enumerate(t)) == 0:
+            roots.append(y)
+    return roots
 
 
 def rational_roots(p: Poly) -> list[Fraction]:
     """All rational roots of p with multiplicity (p over Q, nonzero).
 
-    Divisor search on numerator/denominator candidates after clearing
-    denominators (pruned to the valuations the Newton polygon admits),
-    then deflation for multiplicities.
+    With s the squarefree part of p, denominators cleared, n = deg s and
+    lc = lc(s), the distinct roots are y/lc for the integer roots y of the
+    monic lc^(n-1) s(y/lc) (see :func:`_integer_roots`); exact deflation
+    then gives the multiplicities.
     """
     if p.is_zero():
         raise ValueError("rational roots of the zero polynomial")
@@ -575,16 +445,13 @@ def rational_roots(p: Poly) -> list[Fraction]:
         gg = math.gcd(*out)
         return [c // gg for c in out] if gg > 1 else out
 
-    # classical filters: if r/s is a root then (r - s) | p(1), (r + s) | p(-1)
-    p_at_1 = sum(ints)
-    p_at_m1 = sum(c if i % 2 == 0 else -c for i, c in enumerate(ints))
-    for r in _root_candidates(ints):
-        rn, rd = r.numerator, r.denominator
-        if p_at_1 != 0 and (rn - rd) != 0 and p_at_1 % (rn - rd) != 0:
-            continue
-        if p_at_m1 != 0 and (rn + rd) != 0 and p_at_m1 % (rn + rd) != 0:
-            continue
-        while len(ints) > 1 and ints[0] != 0 and eval_int(ints, r) == 0:
+    sqf = [c.as_rational() for c in squarefree_part(Poly(QQ, ints)).coeffs]
+    sden = math.lcm(*(c.denominator for c in sqf))
+    s = [int(c * sden) for c in sqf]
+    n, lc = len(s) - 1, s[-1]
+    t = [c * lc ** (n - 1 - i) for i, c in enumerate(s[:-1])] + [1]
+    for r in sorted(Fraction(y, lc) for y in _integer_roots(t)):
+        while eval_int(ints, r) == 0:
             roots.append(r)
             ints = deflate(ints, r)
     return sorted(roots)

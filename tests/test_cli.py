@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 from eqcrit.cli import main
 
@@ -136,10 +137,34 @@ def test_classify_and_lift(capsys):
         assert code2 == 2 and doc2["lift"] is None
 
 
-def test_pair_overflow_exit_1(capsys):
-    # the float display of the critical values overflows at this size
-    code, doc = run_cli(capsys, "pair", "--t", "1e40")
-    assert code == 1 and doc["error"]["type"] == "OverflowError"
+def test_classify_and_lift_semiprime_denominator():
+    # the denominator of j carries a 37-digit semiprime; the rational roots
+    # that decide both commands need no factoring of it
+    triple = ["--y1", "0", "--y2", "1",
+              "--y3", "3000000000000000046000000000000000111"]
+    for command in ("classify", "lift"):
+        proc = subprocess.run([sys.executable, "-m", "eqcrit", command, *triple],
+                              capture_output=True, text=True, timeout=10)
+        doc = json.loads(proc.stdout)
+        assert proc.returncode == 2 and doc["exists"] is False
+    assert doc["lift"] is None and doc["obstruction"] == "NoRationalFiberPoint"
+
+
+def test_pair_overflow_emits_exact_pair(capsys):
+    # the float display of the critical values overflows at these sizes; the
+    # exact pair is still emitted, against the closed forms of f_t and g_t
+    for text in ("1e25", "1e40"):
+        code, doc = run_cli(capsys, "pair", "--t", text)
+        t = int(Fraction(text))
+        assert code == 0 and doc["display"]["critical_values"] is None
+        v = Fraction(t ** 4 * (t - 1) ** 3, t + 2)
+        f = [0, -8 * t ** 3, -6 * t ** 3, 0, 1]
+        g = [-8 * t ** 4 * (t ** 2 + t + 1), Fraction(8, 3) * v, 2 * v, 0,
+             -(t - 1) ** 3 * v / (3 * (t + 2) ** 3)]
+        assert doc["f"]["coeffs"] == [[str(c)] for c in f]
+        assert doc["g"]["coeffs"] == [[str(c)] for c in g]
+        assert doc["verified"] == {"equicritical_exact": True,
+                                   "inequivalent": True}
 
 
 def test_weyl_command(capsys):

@@ -120,7 +120,7 @@ def test_pair_rho_and_upsilon_squared():
     rho = Q_SQRT3.named_element("rho")
     p = pair(rho, Q_SQRT3)
     assert p.case is PairCase.RHO
-    C = Q_SQRT3.named_element("C_const")
+    C = -720 * Q_SQRT3.named_element("sqrt3") - 1248
     assert p.g == post_compose(-1, 2 * C, p.f)
     cv = cvpoly(p.f).poly
     assert cv(C).is_zero()

@@ -1,13 +1,14 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 import sympy
 
 from eqcrit.fields import Q_SQRT3, QQ
-from eqcrit.poly import (Poly, divisors, divmod_poly, exact_div, factorint,
-                         interpolate, iroot, poly_gcd, rational_roots,
-                         resultant, resultant_bivariate, squarefree_part)
+from eqcrit.poly import (Poly, divmod_poly, exact_div, interpolate, iroot,
+                         poly_gcd, rational_roots, resultant,
+                         resultant_bivariate, squarefree_part)
 
 X = Poly(QQ, (0, 1))
 
@@ -171,6 +172,52 @@ def test_rational_roots_zero_roots_and_big_coeffs():
     assert rational_roots(p) == [Fraction(-3, 7), 0, 0, 0, Fraction(5, 12)]
 
 
+def sympy_rational_roots(p):
+    """Roots of the linear factors of sympy's factorization, with
+    multiplicity."""
+    out = []
+    for factor, mult in sympy.factor_list(to_sympy(p))[1]:
+        fp = sympy.Poly(factor, sympy.Symbol("x"))
+        if fp.degree() == 1:
+            a, b = fp.all_coeffs()
+            r = sympy.Rational(-b, a)
+            out += [Fraction(int(r.p), int(r.q))] * mult
+    return sorted(out)
+
+
+def test_rational_roots_of_high_height_match_sympy():
+    # planted roots of height up to 1e12 / 1e8 times noise factors with
+    # 30-bit coefficients: the end coefficients carry large prime factors
+    rng = random.Random(5)
+    slowest = 0.0
+    for _ in range(40):
+        roots = [Fraction(rng.randint(-10 ** 12, 10 ** 12), rng.randint(1, 10 ** 8))
+                 for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.3:
+            roots.append(roots[0])
+        p = qq(1)
+        for r in roots:
+            p = p * (X - r)
+        degree = rng.randint(5, 11)
+        while p.degree < degree:
+            d = max(2, min(rng.randint(2, 4), degree - p.degree))
+            p = p * qq(*[rng.randint(-2 ** 30, 2 ** 30) for _ in range(d)],
+                       rng.randint(1, 2 ** 30))
+        start = time.perf_counter()
+        found = rational_roots(p)
+        slowest = max(slowest, time.perf_counter() - start)
+        assert found == sympy_rational_roots(p)
+        assert sorted(roots) == [r for r in found if r in roots]
+    assert slowest < 2.0
+    # a 150-bit semiprime constant term, which a factoring search must split
+    n = (2 ** 61 - 1) * (2 ** 89 - 1)
+    r = Fraction(10 ** 12 + 39, 99991)
+    p = (X * 99991 - (10 ** 12 + 39)) ** 2 * (X ** 3 + X + n)
+    start = time.perf_counter()
+    assert rational_roots(p) == [r, r] == sympy_rational_roots(p)
+    assert time.perf_counter() - start < 2.0
+
+
 def test_squarefree_derivative_compose_monic():
     p = (X - 1) ** 3 * (X + 2)
     assert squarefree_part(p) == (X - 1) * (X + 2)
@@ -210,12 +257,3 @@ def test_iroot_is_the_exact_floor_root():
         assert m ** k <= n < (m + 1) ** k
     with pytest.raises(ValueError):
         iroot(-8, 3)
-
-
-def test_factorint_and_divisors():
-    n = 2 ** 5 * 3 * 5 ** 2 * 1009
-    assert factorint(n) == {2: 5, 3: 1, 5: 2, 1009: 1}
-    assert sorted(divisors(12)) == [1, 2, 3, 4, 6, 12]
-    # semiprime beyond the trial-division bound
-    a, b = 1_000_003, 1_000_033
-    assert factorint(a * b) == {a: 1, b: 1}
