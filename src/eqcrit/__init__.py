@@ -13,7 +13,7 @@ from .fields import (PRESETS, Q_OMEGA, Q_SQRT3, Q_ZETA12, QQ, AlgElem,
 from .moduli import (INF, ClassifyResult, Fiber, ProjValue, ShortWeierstrass,
                      all_lifts, beta4, cj_membership, classify_critical_values,
                      curve_with_j, fiber_beta4, j_of_cubic, jcv_of_curve,
-                     lift_quartic, lifts_from_cvpoly, pi3, psi4, twist_scale,
+                     lifts_from_cvpoly, pi3, psi4, twist_scale,
                      weierstrass_integral)
 from .poly import (Poly, poly_gcd, rational_roots, resultant,
                    resultant_bivariate, squarefree_part)

@@ -68,11 +68,11 @@ def _display_root(field: FieldSpec) -> complex:
     return complex(sorted(roots, key=lambda z: (z.real, z.imag))[0])
 
 
-def display_critical_values(f: Poly) -> list[list[float]] | None:
-    """Numeric critical values via a fixed complex embedding: display only;
-    None when a coefficient or a value is not a finite float."""
-    cv = critical.cvpoly(f).poly
-    root = _display_root(f.field)
+def display_critical_values(cv: Poly) -> list[list[float]] | None:
+    """Numeric critical values, the roots of the cv polynomial, via a fixed
+    complex embedding: display only; None when a coefficient or a value is
+    not a finite float."""
+    root = _display_root(cv.field)
     try:
         cs = [c.complex_embedding(root) for c in reversed(cv.coeffs)]
     except OverflowError:
@@ -95,7 +95,7 @@ def _pair_doc(p: family.EquicriticalPair) -> dict:
         "g": jsonio.poly_to_json(p.g),
         "verified": p.verified,
         "display": {"note": "display only (fixed float embedding)",
-                    "critical_values": display_critical_values(p.f)},
+                    "critical_values": display_critical_values(p.cv.poly)},
     }
 
 
@@ -155,12 +155,15 @@ def _cmd_cvpoly(args) -> int:
     cv = critical.cvpoly(f)
     _emit({"cvpoly": jsonio.poly_to_json(cv.poly),
            "source_degree": cv.source_degree,
-           "is_morse": critical.is_morse(f)})
+           "is_morse": cv.is_morse})
     return 0
 
 
 def _cmd_jcv(args) -> int:
     f = _load_poly(args.poly)
+    if f.degree not in (None, 0, 1, 4):
+        # the error j_of_cubic gives on cvpoly(f), raised before cvpoly runs
+        raise ValueError("j_of_cubic needs a monic cubic")
     cv = critical.cvpoly(f)
     _emit({"jcv": jsonio.proj_to_json(moduli.j_of_cubic(cv.poly))})
     return 0

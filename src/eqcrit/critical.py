@@ -9,8 +9,7 @@ from typing import Optional, Sequence
 
 from .errors import DegreeMismatch, NotQuartic, VerificationError, ZeroScale
 from .fields import QQ, AlgElem, FieldSpec
-from .poly import (Poly, divmod_poly, poly_gcd, rational_roots,
-                   resultant_bivariate)
+from .poly import Poly, poly_gcd, rational_roots, resultant_bivariate
 
 
 @dataclass(frozen=True)
@@ -20,6 +19,11 @@ class CVPoly:
 
     poly: Poly
     source_degree: int
+
+    @property
+    def is_morse(self) -> bool:
+        """True iff the d-1 finite critical values are pairwise distinct."""
+        return poly_gcd(self.poly, self.poly.derivative()).degree == 0
 
 
 def cvpoly(f: Poly, d: int | None = None) -> CVPoly:
@@ -98,8 +102,7 @@ def theta(points: Sequence[AlgElem | int | Fraction],
 
 def is_morse(f: Poly) -> bool:
     """True iff the d-1 finite critical values are pairwise distinct."""
-    cv = cvpoly(f).poly
-    return poly_gcd(cv, cv.derivative()).degree == 0
+    return cvpoly(f).is_morse
 
 
 def equicritical(f: Poly, g: Poly) -> bool:
@@ -134,102 +137,68 @@ class EquivalenceVerdict:
 
     Equivalent comes with a witness (a, b) satisfying f = g(ax + b)
     exactly.  Undecided (only possible over a proper number field)
-    carries the gcd obstruction polynomial in a.
+    carries the candidate polynomial in a that was left undecided.
     """
 
     status: str  # "Equivalent" | "Inequivalent" | "Undecided"
     witness: Optional[tuple[AlgElem, AlgElem]] = None
     obstruction: Optional[Poly] = None
 
-    @property
-    def is_equivalent(self) -> bool:
-        return self.status == "Equivalent"
-
 
 def _recompose_matches(f: Poly, g: Poly, a: AlgElem, b: AlgElem) -> bool:
     return not a.is_zero() and g.compose(Poly(g.field, (b, a))) == f
 
 
+def _depressed(f: Poly) -> tuple[AlgElem, Poly]:
+    """(s, F) with F(y) = f(y + s) free of its cubic term."""
+    s = -f.coeff(3) / (f.lc * 4)
+    return s, f.compose(Poly(f.field, (s, 1)))
+
+
 def affine_equivalent(f: Poly, g: Poly) -> EquivalenceVerdict:
     """Decide whether f = g(ax+b) for some a != 0, b over the declared field.
 
-    The cubic coefficient pins b as a function of a; substituting it into
-    the remaining coefficient equations and taking a monic gcd G(a) (always
-    including a^4 g4 - f4) leaves finitely many candidates, each tested by
-    exact recomposition.  Over Q the verdict is always decided; over a
-    proper number field a gcd of degree >= 2 is reported as Undecided.
+    With the depressed forms F(y) = f(y + s_f) and G(y) = g(y + s_g), f =
+    g(ax + b) holds exactly when F(y) = G(ay) and b = s_g - a s_f, that is
+    F0 = G0, F1 = G1 a, F2 = G2 a^2 and F4 = G4 a^4.  For G1 != 0 the only
+    candidate is a = F1/G1; otherwise the candidates are the roots of the
+    squarefree a^4 - F4/G4, or of its monic gcd with a^2 - F2/G2 when
+    G2 != 0.  Each candidate is tested by exact recomposition.  Over Q the
+    verdict is always decided; over a proper number field a candidate
+    polynomial of degree >= 2 without rational roots is reported as
+    Undecided, with that polynomial as the obstruction.
     """
     if f.is_zero() or g.is_zero() or f.degree != 4 or g.degree != 4:
         raise NotQuartic("affine equivalence is implemented for quartics")
     if f.field != g.field:
         raise DegreeMismatch("polynomials over different fields")
     field = f.field
-    f4, f3, f2, f1, f0 = (f.coeff(i) for i in (4, 3, 2, 1, 0))
-    g4, g3, g2, g1, g0 = (g.coeff(i) for i in (4, 3, 2, 1, 0))
+    s_f, F = _depressed(f)
+    s_g, G = _depressed(g)
+    F4, F2, F1, F0 = (F.coeff(i) for i in (4, 2, 1, 0))
+    G4, G2, G1, G0 = (G.coeff(i) for i in (4, 2, 1, 0))
+    inequivalent = EquivalenceVerdict("Inequivalent")
+    if F0 != G0 or F1.is_zero() != G1.is_zero() or F2.is_zero() != G2.is_zero():
+        return inequivalent
 
-    A = lambda *cs: Poly(field, cs)  # polynomials in the unknown scale a
-    a_var = A(0, 1)
-    # b(a) = (f3 a^-3 - g3)/(4 g4) = N/D with N, D in K[a]
-    N = A(f3) - A(g3) * a_var ** 3
-    D = A(g4 * 4) * a_var ** 3
+    def verdict_at(a0: AlgElem) -> Optional[EquivalenceVerdict]:
+        b0 = s_g - a0 * s_f
+        if _recompose_matches(f, g, a0, b0):
+            return EquivalenceVerdict("Equivalent", witness=(a0, b0))
+        return None
 
-    eqs = []
-    eqs.append(A(g4) * a_var ** 4 - A(f4))
-    # x^2:  a^2 (g2 + 3 g3 b + 6 g4 b^2) = f2, cleared by D^2
-    eqs.append(a_var ** 2 * (A(g2) * D ** 2 + A(g3 * 3) * N * D + A(g4 * 6) * N ** 2)
-               - A(f2) * D ** 2)
-    # x^1:  a (g1 + 2 g2 b + 3 g3 b^2 + 4 g4 b^3) = f1, cleared by D^3
-    eqs.append(a_var * (A(g1) * D ** 3 + A(g2 * 2) * N * D ** 2
-                        + A(g3 * 3) * N ** 2 * D + A(g4 * 4) * N ** 3)
-               - A(f1) * D ** 3)
-    # x^0:  g0 + g1 b + g2 b^2 + g3 b^3 + g4 b^4 = f0, cleared by D^4
-    eqs.append(A(g0) * D ** 4 + A(g1) * N * D ** 3 + A(g2) * N ** 2 * D ** 2
-               + A(g3) * N ** 3 * D + A(g4) * N ** 4 - A(f0) * D ** 4)
-
-    G: Poly | None = None
-    for eq in eqs:
-        if eq.is_zero():
-            continue
-        G = eq.monic() if G is None else poly_gcd(G, eq)
-        if G.degree == 0:
-            return EquivalenceVerdict("Inequivalent")
-    assert G is not None  # the a^4 equation is never the zero polynomial
-
-    def try_candidate(a0: AlgElem) -> Optional[tuple[AlgElem, AlgElem]]:
-        if a0.is_zero():
-            return None
-        b0 = (f3 / a0 ** 3 - g3) / (g4 * 4)
-        return (a0, b0) if _recompose_matches(f, g, a0, b0) else None
-
-    if field == QQ:
-        for r in sorted(set(rational_roots(G))):
-            hit = try_candidate(field.from_rational(r))
+    if not G1.is_zero():
+        return verdict_at(F1 / G1) or inequivalent
+    cands = Poly(field, (-(F4 / G4), 0, 0, 0, 1))
+    if not G2.is_zero():
+        cands = poly_gcd(cands, Poly(field, (-(F2 / G2), 0, 1)))
+    # every root of cands solves the system, and cands is a polynomial in
+    # a^2 (degree 0, 2 or 4): the least rational root, if any, is the witness
+    if all(c.is_rational() for c in cands.coeffs):
+        for r in rational_roots(cands):
+            hit = verdict_at(field.from_rational(r))
             if hit:
-                return EquivalenceVerdict("Equivalent", witness=hit)
-        return EquivalenceVerdict("Inequivalent")
-
-    # over a proper number field, peel off the enumerable candidates: the
-    # single root when deg G = 1, and all rational roots when G has
-    # rational coefficients; what remains (if anything) is the obstruction
-    if G.degree >= 2 and all(c.is_rational() for c in G.coeffs):
-        for r in sorted(set(rational_roots(G))):
-            a0 = field.from_rational(r)
-            hit = try_candidate(a0)
-            if hit:
-                return EquivalenceVerdict("Equivalent", witness=hit)
-            lin = Poly(field, (-a0, 1))
-            while True:
-                quot, rem = divmod_poly(G, lin)
-                if rem.is_zero():
-                    G = quot
-                else:
-                    break
-    if G.degree == 0:
-        return EquivalenceVerdict("Inequivalent")
-    if G.degree == 1:
-        a0 = -G.coeff(0) / G.coeff(1)
-        hit = try_candidate(a0)
-        if hit:
-            return EquivalenceVerdict("Equivalent", witness=hit)
-        return EquivalenceVerdict("Inequivalent")
-    return EquivalenceVerdict("Undecided", obstruction=G)
+                return hit
+    if cands.degree == 0 or field == QQ:
+        return inequivalent
+    return EquivalenceVerdict("Undecided", obstruction=cands)

@@ -10,7 +10,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .critical import affine_equivalent, cvpoly, post_compose
+from .critical import CVPoly, affine_equivalent, cvpoly, post_compose
 from .errors import (ExcludedT, FieldTooSmall, NoPair, PoleAtT,
                      VerificationError)
 from .fields import QQ, AlgElem, FieldSpec
@@ -38,13 +38,15 @@ class PairCase(str, Enum):
 
 @dataclass
 class EquicriticalPair:
-    """A verified pair (f, g): same critical values, inequivalent."""
+    """A verified pair (f, g): same critical values, inequivalent; cv is
+    their shared critical-value polynomial."""
 
     f: Poly
     g: Poly
     t: ProjValue
     case: PairCase
     field: FieldSpec
+    cv: CVPoly
     verified: dict = dc_field(default_factory=dict)
 
 
@@ -261,14 +263,15 @@ def _verified_pair(f: Poly, g: Poly, t: ProjValue, case: PairCase,
                    field: FieldSpec) -> EquicriticalPair:
     """Fail-closed construction: every returned pair is equicritical
     exactly and decided Inequivalent."""
-    if cvpoly(f).poly != cvpoly(g).poly:
+    cv = cvpoly(f)
+    if cv.poly != cvpoly(g).poly:
         raise VerificationError(
             f"pair for case {case.value} is not equicritical")
     verdict = affine_equivalent(f, g)
     if verdict.status != "Inequivalent":
         raise VerificationError(
             f"pair for case {case.value} has equivalence verdict {verdict.status}")
-    return EquicriticalPair(f, g, t, case, field,
+    return EquicriticalPair(f, g, t, case, field, cv,
                             verified={"equicritical_exact": True,
                                       "inequivalent": True})
 

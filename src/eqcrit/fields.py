@@ -41,6 +41,11 @@ class FieldSpec:
             raise ValueError("modulus must have degree >= 1")
         if mod[-1] != 1:
             raise ValueError("modulus must be monic")
+        m, r = list(mod), [c * i for i, c in enumerate(mod)][1:]
+        while r:  # Euclid: gcd(m, m') is constant iff m is squarefree
+            m, r = r, _poly_divmod(m, r)[1]
+        if len(m) > 1:
+            raise ValueError("modulus must be squarefree")
         self.modulus = mod
         self._deg = len(mod) - 1
         self.name = name

@@ -350,12 +350,6 @@ def all_lifts(y1, y2, y3, field: FieldSpec = QQ) -> list[Poly]:
     return lifts_from_cvpoly(_triple_cubic(y1, y2, y3, field))
 
 
-def lift_quartic(y1, y2, y3, field: FieldSpec = QQ) -> Poly:
-    """A rational quartic with prescribed distinct critical values (the
-    first lift of :func:`all_lifts`)."""
-    return all_lifts(y1, y2, y3, field)[0]
-
-
 def twist_scale(E0: ShortWeierstrass, E1: ShortWeierstrass) -> AlgElem:
     """alpha = A0 B1 / (A1 B0); x -> alpha x carries the 2-torsion
     x-coordinates of E0 to those of E1.  Requires equal nonelliptic j."""

@@ -77,10 +77,6 @@ class FpPoly:
                             for i, c in enumerate(self.coeffs) if i >= 1))
 
 
-def _c_at(coeffs, i):
-    return coeffs[i] if 0 <= i < len(coeffs) else 0
-
-
 def _fp_roots_with_multiplicity(f: FpPoly) -> list[tuple[int, int]]:
     """Roots of f in F_p with multiplicity, by exhaustive scan plus
     repeated synthetic division (q must be p)."""

@@ -1,6 +1,8 @@
 import json
+import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 from eqcrit.cli import main
@@ -85,6 +87,59 @@ def test_cvpoly_and_jcv(tmp_path, capsys):
     from fractions import Fraction
     from eqcrit.family import jt
     assert Fraction(doc["jcv"]) == jt(Fraction(42)).as_rational()
+
+
+def test_pair_computes_each_cvpoly_once(capsys, monkeypatch):
+    # one cvpoly per pair member (the display reuses the verified one), and
+    # the depressed-form equivalence check needs no polynomial gcd here
+    from eqcrit import critical, family
+    calls = {"cvpoly": 0, "poly_gcd": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(family, "cvpoly", counted("cvpoly", family.cvpoly))
+    monkeypatch.setattr(critical, "cvpoly", counted("cvpoly", critical.cvpoly))
+    monkeypatch.setattr(critical, "poly_gcd",
+                        counted("poly_gcd", critical.poly_gcd))
+    for argv in (["pair", "--t", "42"],
+                 ["pair", "--t", "omega-rho", "--field", "q-zeta12"]):
+        calls.update(cvpoly=0, poly_gcd=0)
+        code, _ = run_cli(capsys, *argv)
+        assert code == 0 and calls == {"cvpoly": 2, "poly_gcd": 0}
+
+
+def test_jcv_rejects_other_degrees_before_cvpoly(tmp_path, capsys):
+    # a degree-25 input fails at once, not after its whole cvpoly
+    rng = random.Random(25)
+    coeffs = [[str(rng.randint(-3, 3))] for _ in range(25)] + [["1"]]
+    poly_file = tmp_path / "p.json"
+    poly_file.write_text(json.dumps({"field": "qq", "coeffs": coeffs}))
+    start = time.perf_counter()
+    code, doc = run_cli(capsys, "jcv", "--poly", str(poly_file))
+    assert time.perf_counter() - start < 1.0
+    expected = {"error": {"type": "ValueError",
+                          "message": "j_of_cubic needs a monic cubic"}}
+    assert code == 1 and doc == expected
+    # the same document for every degree other than 4; below 2, cvpoly's own
+    for coeffs, error in (([0, 0, 1], "ValueError"), ([0, 1, 0, 1], "ValueError"),
+                          ([0, 1], "DegreeMismatch")):
+        poly_file.write_text(json.dumps(
+            {"field": "qq", "coeffs": [[str(c)] for c in coeffs]}))
+        code, doc = run_cli(capsys, "jcv", "--poly", str(poly_file))
+        assert code == 1 and doc["error"]["type"] == error
+
+
+def test_non_squarefree_modulus_exit_1(tmp_path, capsys):
+    # Q[x]/(x^2) is not a reduced algebra: rejected before any arithmetic
+    poly_file = tmp_path / "p.json"
+    poly_file.write_text(json.dumps({"field": {"modulus": ["0", "0", "1"]},
+                                     "coeffs": ["0", "-1", "0", "0", "1"]}))
+    code, doc = run_cli(capsys, "cvpoly", "--poly", str(poly_file))
+    assert code == 1 and doc["error"]["type"] == "ValueError"
 
 
 def test_maps(capsys):

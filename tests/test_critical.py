@@ -265,3 +265,30 @@ def test_affine_equivalent_random_conjugates():
         assert verdict.status == "Equivalent"
         wa, wb = verdict.witness
         assert apply_affine(g, wa, wb) == f
+
+
+def test_affine_equivalent_even_quartics():
+    # depressed G1 = 0: the candidates are the roots of a^4 - F4/G4, or of its
+    # gcd with a^2 - F2/G2; an even quartic has both a and -a as witnesses,
+    # and the least rational candidate is the one reported
+    rng = random.Random(61)
+    for k in range(60):
+        c4 = Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 3))
+        c2 = Fraction(0) if k % 3 == 0 else Fraction(
+            rng.choice([-6, -2, -1, 1, 3, 4]), rng.randint(1, 3))
+        c0 = Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+        f = qq(c0, 0, c2, 0, c4)
+        alpha = Fraction(rng.choice([1, -1, 2, -2, Fraction(1, 3)]))
+        g = apply_affine(f, alpha, Fraction(rng.randint(-5, 5), rng.randint(1, 2)))
+        verdict = affine_equivalent(f, g)
+        assert verdict.status == "Equivalent"
+        a, b = verdict.witness
+        assert apply_affine(g, a, b) == f
+        assert a.as_rational() == -abs(1 / alpha)
+        # F4 or F2 rescaled: no rational a solves both a^4 = F4/G4 and
+        # a^2 = F2/G2 (F2 by 2 and F4 by 4 leave only a^2 = 2/alpha^2)
+        rescaled = [qq(c0, 0, c2, 0, c4 * 2)]
+        if c2:
+            rescaled += [qq(c0, 0, c2 * 2, 0, c4), qq(c0, 0, c2 * 2, 0, c4 * 4)]
+        for h in rescaled:
+            assert affine_equivalent(h, g).status == "Inequivalent"

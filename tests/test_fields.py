@@ -59,6 +59,15 @@ def test_field_too_small():
         QQ.named_element("sqrt3")
 
 
+def test_modulus_must_be_squarefree():
+    # Q[x]/(x^2) and Q[x]/((x + 1)^2 (x - 2)) are not reduced algebras
+    for modulus in ((0, 0, 1), (-2, -3, 0, 1)):
+        with pytest.raises(ValueError, match="squarefree"):
+            FieldSpec(modulus)
+    for modulus in ((0, -1, 1), (-2, 0, 1), (5, 1)):
+        assert FieldSpec(modulus).modulus == tuple(Fraction(c) for c in modulus)
+
+
 def test_presets_modulus_squarefree():
     from eqcrit.poly import Poly, poly_gcd
     for field in PRESETS.values():

@@ -13,7 +13,7 @@ from eqcrit.moduli import (CURVE_J0, CURVE_J1728, INF, ShortWeierstrass,
                            _rational_root, all_lifts, beta4, cj_membership,
                            classify_critical_values, curve_with_j,
                            fiber_beta4, fiber_polynomial, is_inf, j_of_cubic,
-                           jcv_of_curve, lift_quartic, lifts_from_cvpoly, pi3,
+                           jcv_of_curve, lifts_from_cvpoly, pi3,
                            psi4, twist_scale, weierstrass_integral)
 from eqcrit.poly import Poly, rational_roots, resultant_bivariate
 
@@ -252,7 +252,7 @@ def test_two_fiber_points_give_two_inequivalent_lifts():
 
 def test_lift_self_verification_and_first():
     ys = [y.as_rational() for y in theta([1, -2, 3])]
-    L = lift_quartic(*ys)
+    L = all_lifts(*ys)[0]
     got = sorted(r for r in rational_roots(cvpoly(L).poly))
     assert got == sorted(ys)
 
