@@ -12,11 +12,10 @@ from __future__ import annotations
 import argparse
 import cmath
 import csv
+import functools
 import json
 import sys
 from fractions import Fraction
-
-import numpy as np
 
 from . import critical, family, jsonio, moduli, weyl
 from .errors import (EllipticTargetObstruction, EqcritError, NoPair,
@@ -64,6 +63,8 @@ def parse_t(text: str, field: FieldSpec):
 def _display_root(field: FieldSpec) -> complex:
     if field.name in DISPLAY_EMBEDDINGS:
         return DISPLAY_EMBEDDINGS[field.name]
+    import numpy as np  # deferred: only the float display needs it
+
     roots = np.roots([float(c) for c in reversed(field.modulus)])
     return complex(sorted(roots, key=lambda z: (z.real, z.imag))[0])
 
@@ -79,6 +80,8 @@ def display_critical_values(cv: Poly) -> list[list[float]] | None:
         return None
     if not all(cmath.isfinite(c) for c in cs):
         return None
+    import numpy as np  # deferred: only the float display needs it
+
     vals = [complex(v) for v in np.roots(cs)]
     if not all(cmath.isfinite(v) for v in vals):
         return None
@@ -258,7 +261,7 @@ def _cmd_weyl(args) -> int:
 
 def _cmd_sweep(args) -> int:
     field = PRESETS[args.field]
-    rows = family.sweep(list(range(args.t_from, args.t_to + 1)), field)
+    bad = 0
     out = open(args.out, "w", newline="") if args.out != "-" else sys.stdout
     try:
         writer = csv.writer(out)
@@ -268,7 +271,10 @@ def _cmd_sweep(args) -> int:
             encoded = jsonio.proj_to_json(v)
             return encoded if isinstance(encoded, str) else json.dumps(encoded)
 
-        for row in rows:
+        # one row at a time: the range may be far too wide to hold in memory
+        for t in range(args.t_from, args.t_to + 1):
+            [row] = family.sweep([t], field)
+            bad += not row.identities_ok
             f_json = (json.dumps(jsonio.poly_to_json(row.pair.f)["coeffs"])
                       if row.pair else "")
             g_json = (json.dumps(jsonio.poly_to_json(row.pair.g)["coeffs"])
@@ -284,14 +290,15 @@ def _cmd_sweep(args) -> int:
         if out is not sys.stdout:
             out.close()
             print(f"wrote {args.out}", file=sys.stderr)
-    bad = [r for r in rows if not r.identities_ok]
     if bad:
-        print(f"identity check failed on {len(bad)} rows", file=sys.stderr)
+        print(f"identity check failed on {bad} rows", file=sys.stderr)
         return _ERROR_EXIT
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The eqcrit argument parser, built once per process."""
     ap = argparse.ArgumentParser(
         prog="eqcrit",
         description="critical values of quartics, equicritical pairs, and "

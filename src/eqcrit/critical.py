@@ -9,7 +9,7 @@ from typing import Optional, Sequence
 
 from .errors import DegreeMismatch, NotQuartic, VerificationError, ZeroScale
 from .fields import QQ, AlgElem, FieldSpec
-from .poly import Poly, poly_gcd, rational_roots, resultant_bivariate
+from .poly import Poly, poly_gcd, rational_roots
 
 
 @dataclass(frozen=True)
@@ -27,8 +27,16 @@ class CVPoly:
 
 
 def cvpoly(f: Poly, d: int | None = None) -> CVPoly:
-    """Critical-value polynomial of f: monic, degree d-1, computed as
-    (-1)^(d-1) Res_x(f'(x), f(x) - y) / (d lc(f))^d."""
+    """Critical-value polynomial of f: monic, degree d-1, the product of
+    y - f(c) over the roots c of f'.
+
+    That product is the characteristic polynomial of multiplication by f
+    on K[x]/(h), h = f'/(d lc(f)), the norm-resultant identity (Cohen, A
+    Course in Computational Algebraic Number Theory, GTM 138, 3.3 and 4.3).
+    Column j of its matrix holds x^j f mod h; h is monic, so every
+    reduction is a shift and a subtraction, and :func:`_charpoly` needs no
+    division either, which keeps algebras with a zero divisor answerable.
+    """
     if f.is_zero() or f.degree < 2:
         raise DegreeMismatch("cvpoly needs a polynomial of degree >= 2")
     if d is None:
@@ -36,18 +44,49 @@ def cvpoly(f: Poly, d: int | None = None) -> CVPoly:
     elif d != f.degree:
         raise DegreeMismatch(f"declared degree {d} but deg f = {f.degree}")
     field = f.field
-    fp = f.derivative()
-    # coefficients of f' and f - y as elements of K[y]
-    px = [Poly(field, (c,)) for c in fp.coeffs]
-    qx = [Poly(field, (c,)) for c in f.coeffs]
-    qx[0] = Poly(field, (f.coeffs[0], -1))
-    res = resultant_bivariate(px, qx)
-    scale = (field.coerce(d) * f.lc) ** d
-    sign = field.one if (d - 1) % 2 == 0 else -field.one
-    cv = res * (sign / scale)
+    n = d - 1
+    inv = (field.coerce(d) * f.lc).inverse()
+    h = [c * inv for c in f.derivative().coeffs[:n]]  # monic h without its x^n
+
+    def times_x(r: list[AlgElem]) -> list[AlgElem]:
+        # x r mod h for a reduced r
+        top = r[-1]
+        return [-top * h[0]] + [r[i - 1] - top * h[i] for i in range(1, n)]
+
+    col = [field.zero] * n
+    for c in reversed(f.coeffs):  # Horner: col = f mod h
+        col = times_x(col)
+        col[0] = col[0] + c
+    cols = [col]
+    for _ in range(n - 1):
+        cols.append(times_x(cols[-1]))
+    cv = Poly(field, reversed(_charpoly(list(zip(*cols)), field)))
     if cv.degree != d - 1 or cv.lc != 1:
         raise VerificationError("cvpoly normalization failed")
     return CVPoly(cv, d)
+
+
+def _charpoly(m: Sequence[Sequence[AlgElem]], field: FieldSpec) -> list[AlgElem]:
+    """det(yI - m) of a square matrix, leading coefficient first, by
+    Berkowitz's division-free algorithm (Inf. Process. Lett. 18, 1984).
+
+    The vector of the leading k x k block grows to the (k+1) x (k+1) one
+    by the lower-triangular Toeplitz matrix with first column 1, -a,
+    -R C, -R A C, ..., -R A^(k-1) C, where A is the k x k block, a the new
+    diagonal entry, R the new row and C the new column.
+    """
+    vec = [field.one]
+    for k in range(len(m)):
+        row = m[k][:k]
+        col = [m[i][k] for i in range(k)]
+        first = [field.one, -m[k][k]]
+        for _ in range(k):
+            first.append(-sum((a * b for a, b in zip(row, col)), field.zero))
+            col = [sum((a * b for a, b in zip(m[i][:k], col)), field.zero)
+                   for i in range(k)]
+        vec = [sum((first[i - j] * vec[j] for j in range(min(i, k) + 1)), field.zero)
+               for i in range(k + 2)]
+    return vec
 
 
 def _elementary_symmetric(points: Sequence[AlgElem], field: FieldSpec) -> list[AlgElem]:

@@ -9,8 +9,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import (DegenerateLeadingCoefficient, NotCoprime, NotPrime,
                      PoleAtT)
 from .family import f_t, g_t
@@ -116,6 +114,8 @@ def weyl_direct(f: FpPoly, a: int, p: int) -> complex:
     r = a f(x) mod p^2 splits exactly as r = hi p + lo with hi, lo < p, so
     e(r/p^2) = e(hi/p) e(lo/p^2) comes from two tables of p entries.
     """
+    import numpy as np  # here, so that importing eqcrit does not load numpy
+
     check_prime(p)
     if math.gcd(a, p) != 1:
         raise NotCoprime(f"gcd({a}, {p}) != 1")

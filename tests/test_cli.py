@@ -5,6 +5,8 @@ import sys
 import time
 from fractions import Fraction
 
+import pytest
+
 from eqcrit.cli import main
 
 
@@ -131,6 +133,31 @@ def test_jcv_rejects_other_degrees_before_cvpoly(tmp_path, capsys):
             {"field": "qq", "coeffs": [[str(c)] for c in coeffs]}))
         code, doc = run_cli(capsys, "jcv", "--poly", str(poly_file))
         assert code == 1 and doc["error"]["type"] == error
+
+
+def test_cvpoly_degree_25_in_time(tmp_path, capsys):
+    # the input of the jcv test above: cvpoly takes its characteristic
+    # polynomial, the former resultant route took 18 s here
+    rng = random.Random(25)
+    coeffs = [[str(rng.randint(-3, 3))] for _ in range(25)] + [["1"]]
+    poly_file = tmp_path / "p.json"
+    poly_file.write_text(json.dumps({"field": "qq", "coeffs": coeffs}))
+    start = time.perf_counter()
+    code, doc = run_cli(capsys, "cvpoly", "--poly", str(poly_file))
+    assert time.perf_counter() - start < 10.0
+    assert code == 0 and doc["source_degree"] == 25
+    assert len(doc["cvpoly"]["coeffs"]) == 25 and doc["cvpoly"]["coeffs"][-1] == ["1"]
+
+
+def test_cvpoly_over_an_algebra_with_zero_divisors(tmp_path, capsys):
+    # Q[a]/(a^2 - a): a is a zero divisor, and the cvpoly needs no inverse
+    # beyond that of the leading coefficient of f'
+    poly_file = tmp_path / "p.json"
+    poly_file.write_text(json.dumps({"field": {"modulus": ["0", "-1", "1"]},
+                                     "coeffs": [["0", "-1"], "-1", "0", "0", "1"]}))
+    code, doc = run_cli(capsys, "cvpoly", "--poly", str(poly_file))
+    assert code == 0
+    assert doc["cvpoly"]["coeffs"] == [["27/256", "1"], ["0", "3"], ["0", "3"], ["1", "0"]]
 
 
 def test_non_squarefree_modulus_exit_1(tmp_path, capsys):
@@ -262,3 +289,56 @@ def test_console_script_subprocess():
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["value"] == "0"
+
+
+def test_main_builds_one_parser(capsys, monkeypatch):
+    import argparse
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self.prog == "eqcrit":
+            built.append(self)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for _ in range(2):
+        code, doc = run_cli(capsys, "maps", "--eval", "jt", "--at", "2")
+        assert code == 0 and doc["value"] == "884736/343"
+    assert len(built) <= 1
+
+
+def test_classify_does_not_import_numpy():
+    # numpy is loaded only by the Weyl sums and the pair display
+    code = ("import sys\n"
+            "from eqcrit.cli import main\n"
+            "main(['classify', '--y1', '0', '--y2', '1', '--y3', '3'])\n"
+            "print('numpy' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
+def test_sweep_writes_each_row_as_it_is_made(tmp_path, capsys, monkeypatch):
+    # a range far too wide to hold: rows are written before the next is made
+    from eqcrit import family
+
+    class Stop(Exception):
+        pass
+
+    made = []
+    pair = family.pair
+
+    def three_rows(t, field):
+        if len(made) == 3:
+            raise Stop
+        made.append(t)
+        return pair(t, field)
+
+    monkeypatch.setattr(family, "pair", three_rows)
+    out = tmp_path / "rows.csv"
+    with pytest.raises(Stop):
+        main(["sweep", "--t-from", "2", "--t-to", "1000000000000000000",
+              "--out", str(out)])
+    lines = out.read_text().splitlines()
+    assert [line.split(",")[0] for line in lines] == ["t", "2", "3", "4"]

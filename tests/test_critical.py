@@ -8,8 +8,8 @@ from eqcrit.critical import (affine_equivalent, apply_affine, cvpoly,
                              equicritical, is_morse,
                              poly_from_critical_points, post_compose, theta)
 from eqcrit.errors import DegreeMismatch, NotQuartic, ZeroScale
-from eqcrit.fields import Q_OMEGA, QQ
-from eqcrit.poly import Poly, divmod_poly
+from eqcrit.fields import PRESETS, Q_OMEGA, QQ, FieldSpec
+from eqcrit.poly import Poly, divmod_poly, resultant_bivariate
 
 X = Poly(QQ, (0, 1))
 
@@ -87,6 +87,66 @@ def test_cvpoly_matches_oracle_randomly():
         f = qq(*[Fraction(rng.randint(-20, 20), rng.randint(1, 6))
                  for _ in range(4)], Fraction(rng.randint(1, 8)))
         assert cvpoly(f).poly == cv_oracle_newton(f)
+
+
+def cv_resultant(f):
+    # the former cvpoly: (-1)^(d-1) Res_x(f', f - y) / (d lc f)^d
+    field, d = f.field, f.degree
+    px = [Poly(field, (c,)) for c in f.derivative().coeffs]
+    qx = [Poly(field, (c,)) for c in f.coeffs]
+    qx[0] = Poly(field, (f.coeffs[0], -1))
+    res = resultant_bivariate(px, qx) * ((field.coerce(d) * f.lc) ** -d)
+    return res if d % 2 else -res
+
+
+def test_cvpoly_matches_resultant_formula():
+    # random inputs of degree 2-11 over Q, and of degree 2-7 (2-6 over
+    # Q(zeta12)) over the number fields, where the resultant takes seconds
+    # per input beyond that
+    rng = random.Random(8)
+    top = {"qq": 11, "q-sqrt3": 7, "q-omega": 7, "q-zeta12": 6}
+    for name, field in PRESETS.items():
+        def elem():
+            return field.element([Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                                  for _ in range(field.degree)])
+
+        for d in range(2, top[name] + 1):
+            lc = elem()
+            while lc.is_zero():
+                lc = elem()
+            f = Poly(field, [elem() for _ in range(d)] + [lc])
+            assert cvpoly(f).poly == cv_resultant(f)
+            if d <= 5:
+                # f = c (x - a)^d is the one shape with f mod f' = 0: the
+                # multiplication matrix is zero and the cvpoly is y^(d-1)
+                x = Poly(field, (0, 1))
+                for g in (x ** d, (x + 2) ** d * lc):
+                    assert cvpoly(g).poly == cv_resultant(g) == x ** (d - 1)
+    for f in (qq(0, 0, 9, 6, 1), qq(0, 0, 0, -6, -3)):  # x^2 (x+3)^2, -3x^3 (x+2)
+        assert cvpoly(f).poly == cv_resultant(f)
+
+
+def test_cvpoly_over_an_algebra_with_zero_divisors():
+    # Q[a]/(a^2 - a) is Q x Q (a -> 0, a -> 1); the cvpoly of f is the Q
+    # cvpoly of each component, although a and a - 1 have no inverse
+    alg = FieldSpec((0, -1, 1), name="q-x-q")
+    a = alg.generator
+
+    def component(p, value):
+        return Poly(QQ, [c.coords[0] + c.coords[1] * value for c in p.coeffs])
+
+    f = Poly(alg, (-a, -1, 0, 0, 1))
+    assert cvpoly(f).poly == Poly(alg, (a + Fraction(27, 256), a * 3, a * 3, 1))
+    rng = random.Random(9)
+    for k in range(30):
+        d = 2 + k % 5
+        lc0, lc1 = rng.choice([-3, -1, 2, 5]), rng.choice([-2, 1, 3])
+        coeffs = [alg.element([rng.randint(-6, 6), rng.randint(-6, 6)])
+                  for _ in range(d)] + [alg.element([lc0, lc1 - lc0])]
+        f = Poly(alg, coeffs)
+        cv = cvpoly(f).poly
+        for value in (0, 1):
+            assert component(cv, value) == cvpoly(component(f, value)).poly
 
 
 def test_cvpoly_rejects_wrong_degree():
