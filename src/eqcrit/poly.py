@@ -215,6 +215,9 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
         raise ValueError("gcd(0, 0) is undefined")
     a, b = p, q
     while not b.is_zero():
+        # a monic divisor leaves the same remainder, and keeps the
+        # coefficients of the remainders over Q from growing
+        b = b.monic()
         a, b = b, divmod_poly(a, b)[1]
     return a.monic()
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (DegenerateLeadingCoefficient, NotCoprime, NotPrime,
-                     PoleAtT)
+                     PoleAtT, VerificationError)
 from .family import f_t, g_t
 
 MAX_PRIME = 10_000
@@ -100,9 +100,13 @@ def _fp_roots_with_multiplicity(f: FpPoly) -> list[tuple[int, int]]:
     return out
 
 
-# x values per block of the direct sum: its working memory is a few
-# arrays of this length, whatever p is.
+# x values per block of the direct sum: each block's terms are summed as
+# one array, so the block length fixes the summation order and with it the
+# bits of the result.
 _BLOCK = 1 << 16
+# x values per pass inside a block: the int64 working arrays of one slice
+# (64 KB each) stay in the CPU cache between the passes of Horner's rule.
+_SLICE = 1 << 13
 
 
 def weyl_direct(f: FpPoly, a: int, p: int) -> complex:
@@ -113,6 +117,12 @@ def weyl_direct(f: FpPoly, a: int, p: int) -> complex:
     critical-point reduction that it cross-checks.  Each residue
     r = a f(x) mod p^2 splits exactly as r = hi p + lo with hi, lo < p, so
     e(r/p^2) = e(hi/p) e(lo/p^2) comes from two tables of p entries.
+
+    Working memory is fixed whatever p is: three int64 arrays of one slice
+    (x, the Horner value r, and a scratch array) and one complex array of
+    one block for the phases, all allocated once.  The slices of a block
+    fill its phase array and the block is then summed whole, so the sum
+    adds the same terms in the same order as a block evaluated in one pass.
     """
     import numpy as np  # here, so that importing eqcrit does not load numpy
 
@@ -123,23 +133,39 @@ def weyl_direct(f: FpPoly, a: int, p: int) -> complex:
     if f.q != q:
         raise ValueError("polynomial must be reduced mod p^2")
     # Horner on a f(x) mod q in int64: operands stay below q < 2^27
-    # (MAX_PRIME^2), so products stay below 2^54.
+    # (MAX_PRIME^2), so products stay below 2^54.  Every value is
+    # nonnegative, so r - (r // q) q is r mod q; floor division by a scalar
+    # is a multiply-and-shift in numpy, where % is a hardware division.
     coeffs = [a * c % q for c in reversed(f.coeffs)] or [0]
     k = np.arange(p)
     e_hi = np.exp((2j * np.pi / p) * k)
     e_lo = np.exp((2j * np.pi / q) * k)
+    width = min(_SLICE, q)
+    offsets = np.arange(width, dtype=np.int64)
+    x_buf, r_buf, tmp_buf = (np.empty(width, dtype=np.int64) for _ in range(3))
+    phases = np.empty(min(_BLOCK, q), dtype=np.complex128)
     total = 0j
     for start in range(0, q, _BLOCK):
-        x = np.arange(start, min(start + _BLOCK, q), dtype=np.int64)
-        r = np.full_like(x, coeffs[0])
-        for c in coeffs[1:]:
-            r *= x
-            r += c
-            r %= q
-        hi, lo = np.divmod(r, p)
-        phases = e_hi[hi]
-        phases *= e_lo[lo]
-        total += complex(phases.sum())
+        stop = min(start + _BLOCK, q)
+        for x0 in range(start, stop, width):
+            n = min(width, stop - x0)
+            x, r, tmp = x_buf[:n], r_buf[:n], tmp_buf[:n]
+            np.add(offsets[:n], x0, out=x)
+            r.fill(coeffs[0])
+            for c in coeffs[1:]:
+                r *= x
+                r += c
+                np.floor_divide(r, q, out=tmp)
+                tmp *= q
+                r -= tmp
+            # r = hi p + lo; x is spent, so lo takes its buffer
+            hi = np.floor_divide(r, p, out=tmp)
+            lo = np.multiply(hi, p, out=x)
+            np.subtract(r, lo, out=lo)
+            # bounds-checked gathers: hi and lo are below p by construction
+            np.multiply(e_hi[hi], e_lo[lo],
+                        out=phases[x0 - start:x0 - start + n])
+        total += complex(phases[:stop - start].sum())
     return total / p
 
 
@@ -164,15 +190,19 @@ def critical_residues(f: FpPoly, a: int, p: int) -> list[int]:
     return [a * f(u) % q for u in range(p) if fp(u) % p == 0]
 
 
+def _phase_sum(residues: list[int], q: int) -> complex:
+    """Sum of e(r/q) over the residues, in their order."""
+    total = 0j
+    for r in residues:
+        total += cmath.exp(2j * cmath.pi * r / q)
+    return total
+
+
 def weyl_reduced(f: FpPoly, a: int, p: int) -> complex:
     """The critical-point reduction of the mod-p^2 Weyl sum:
     sum of e(a f(v)/p^2) over v in F_p with f'(v) = 0 mod p, in O(p) terms
     (see critical_residues)."""
-    q = p * p
-    total = 0j
-    for r in critical_residues(f, a, p):
-        total += cmath.exp(2j * cmath.pi * r / q)
-    return total
+    return _phase_sum(critical_residues(f, a, p), p * p)
 
 
 def crit_values_mod_p(f: FpPoly, p: int) -> tuple[list[int], int, int]:
@@ -266,7 +296,9 @@ def fd_pair_check(t: int, p: int, a: int,
     """Build the integral pair F = 3(t+2)^4 f_t, G = 3(t+2)^4 g_t, reduce
     mod p and p^2, compute all four Weyl values, and check the exact value
     multisets {a F(v) mod p : F'(v) = 0} and {a F(u) mod p^2 : F'(u) = 0
-    mod p} against G's; equality of the second proves W_F = W_G exactly.
+    mod p} against G's; equality of the second proves W_F = W_G exactly,
+    and the check fails closed: VerificationError when they differ.  The
+    float comparisons (within_tolerance) are reported as a cross-check.
 
     Preconditions: p > 3 prime, gcd(a, p) = 1, p does not divide t(t-1)
     (the stated condition) nor 3(t+2) (leading-coefficient guard; a
@@ -293,10 +325,15 @@ def fd_pair_check(t: int, p: int, a: int,
     tol = default_tolerance(p) if tolerance is None else tolerance
     Fq, Gq = FpPoly.reduce(F, p, 2), FpPoly.reduce(G, p, 2)
     Fp_, Gp_ = FpPoly.reduce(F, p, 1), FpPoly.reduce(G, p, 1)
+    residues_f = critical_residues(Fq, a, p)
+    residues_g = critical_residues(Gq, a, p)
+    # the exact certificate of W_F = W_G; the float sums only cross-check it
+    if sorted(residues_f) != sorted(residues_g):
+        raise VerificationError(
+            f"critical residues mod p^2 of the pair differ at t = {t}, "
+            f"p = {p}, a = {a}")
     direct_f = weyl_direct(Fq, a, p)
     direct_g = weyl_direct(Gq, a, p)
-    reduced_f = weyl_reduced(Fq, a, p)
-    reduced_g = weyl_reduced(Gq, a, p)
     vals_f, found_f, expected = crit_values_mod_p(Fp_, p)
     vals_g, found_g, _ = crit_values_mod_p(Gp_, p)
     mf = sorted(a * v % p for v in vals_f)
@@ -304,11 +341,11 @@ def fd_pair_check(t: int, p: int, a: int,
     return WeylReport(
         p=p, a=a, t=t,
         direct_f=direct_f, direct_g=direct_g,
-        reduced_f=reduced_f, reduced_g=reduced_g,
+        reduced_f=_phase_sum(residues_f, p * p),
+        reduced_g=_phase_sum(residues_g, p * p),
         crit_found_f=found_f, crit_found_g=found_g, crit_expected=expected,
         exact_multiset_equal=(mf == mg),
-        exact_p2_multiset_equal=(sorted(critical_residues(Fq, a, p))
-                                 == sorted(critical_residues(Gq, a, p))),
+        exact_p2_multiset_equal=True,
         guards={"condition_p_ndiv_t(t-1)": stated_ok,
                 "guard_p_ndiv_3(t+2)": guard_ok},
         tolerance=tol)

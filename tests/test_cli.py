@@ -261,6 +261,70 @@ def test_weyl_command(capsys):
     assert code == 0 and "W_f" in doc and "reduced_f" not in doc
 
 
+# Stdout bytes of two weyl runs, pinned: the floats carry every bit of
+# weyl_direct, weyl_reduced and their difference.
+_WEYL_T42_P1009_A7 = """\
+{
+ "W_f": [
+  -0.9759696895815438,
+  0.21790632165706766
+ ],
+ "W_g": [
+  -0.9759696895815441,
+  0.21790632165706755
+ ],
+ "a": 7,
+ "crit_rational": [
+  1,
+  1
+ ],
+ "exact_multiset_equal": true,
+ "exact_p2_multiset_equal": true,
+ "guards": {
+  "condition_p_ndiv_t(t-1)": true,
+  "guard_p_ndiv_3(t+2)": true
+ },
+ "p": 1009,
+ "pair_difference": 2.482534153247273e-16,
+ "reduced_f": [
+  -0.9759696895815393,
+  0.21790632165706883
+ ],
+ "reduced_g": [
+  -0.9759696895815393,
+  0.21790632165706883
+ ],
+ "t": 42,
+ "within_tolerance": true
+}
+"""
+
+_WEYL_T42_P101_A7_DIRECT = """\
+{
+ "W_f": [
+  -0.6161359436402087,
+  0.7876398281921759
+ ],
+ "W_g": [
+  -0.6161359436402091,
+  0.7876398281921763
+ ],
+ "a": 7,
+ "p": 101,
+ "pair_difference": 4.710277376051325e-16,
+ "t": 42
+}
+"""
+
+
+def test_weyl_stdout_bytes_are_pinned(capsys):
+    assert main(["weyl", "--t", "42", "--p", "1009", "--a", "7"]) == 0
+    assert capsys.readouterr().out == _WEYL_T42_P1009_A7
+    assert main(["weyl", "--t", "42", "--p", "101", "--a", "7",
+                 "--direct-only"]) == 0
+    assert capsys.readouterr().out == _WEYL_T42_P101_A7_DIRECT
+
+
 def test_weyl_bad_prime_exit_1(capsys):
     code, doc = run_cli(capsys, "weyl", "--t", "42", "--p", "9", "--a", "1")
     assert code == 1 and doc["error"]["type"] == "NotPrime"

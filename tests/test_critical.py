@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -203,6 +204,16 @@ def test_is_morse_iff_cvpoly_discriminant_nonzero():
         cv = cvpoly(f).poly
         disc = resultant(cv, cv.derivative())  # monic cv: disc up to sign
         assert is_morse(f) == (not disc.is_zero())
+
+
+def test_is_morse_degree_25_in_time():
+    # the degree-25 input of the cvpoly CLI test: Euclid on its cvpoly took
+    # about 4 s while the remainders' rational coefficients grew
+    rng = random.Random(25)
+    cv = cvpoly(qq(*[rng.randint(-3, 3) for _ in range(25)], 1))
+    start = time.perf_counter()
+    assert cv.is_morse
+    assert time.perf_counter() - start < 2.0
 
 
 def test_equicritical_examples():

@@ -1,12 +1,16 @@
 import cmath
+import json
 import math
 import random
+import time
 import tracemalloc
 
 import pytest
 
+from eqcrit import weyl
+from eqcrit.cli import main
 from eqcrit.errors import (DegenerateLeadingCoefficient, NotCoprime, NotPrime,
-                           PoleAtT)
+                           PoleAtT, VerificationError)
 from eqcrit.weyl import (FpPoly, crit_values_mod_p, critical_residues,
                          default_tolerance, fd_pair_check, is_prime,
                          scaled_integral_pair, weyl_direct, weyl_reduced)
@@ -52,6 +56,29 @@ def test_weyl_direct_matches_oracle_on_random_quartics():
             a = rng.randint(1, p - 1) + p * rng.randint(-3 * p, 3 * p)
             w = weyl_direct(FpPoly(p, q, tuple(coeffs)), a, p)
             assert abs(w - _weyl_oracle(coeffs, a, p)) < 1e-9
+
+
+# weyl_direct(F, a, p) and (G, a, p) for the scaled pair at t = 42, as
+# float.hex of the real and imaginary parts: q = 25 is less than one slice,
+# q = 66049 ends in a partial block, q = 1018081 spans 16 blocks.  The sums
+# at p = 5 and 257 are rounding noise around 0, so any change to the terms
+# or to their summation order shows.
+_PINNED_DIRECT = {
+    (5, 7): [("-0x1.0000000000000p-52", "-0x1.999999999999ap-56"),
+             ("-0x1.ccccccccccccdp-53", "0x1.999999999999ap-56")],
+    (257, 3): [("-0x1.201fe01fe01fep-46", "0x1.6e916e916e917p-51"),
+               ("-0x1.1ae51ae51ae52p-46", "0x1.2ed12ed12ed13p-51")],
+    (1009, 7): [("-0x1.f3b24c9547ae7p-1", "0x1.be45ab68debebp-3"),
+                ("-0x1.f3b24c9547ae9p-1", "0x1.be45ab68debe7p-3")],
+}
+
+
+def test_weyl_direct_bits_are_pinned():
+    pair = scaled_integral_pair(42)
+    for (p, a), parts in _PINNED_DIRECT.items():
+        for coeffs, (re, im) in zip(pair, parts):
+            w = weyl_direct(FpPoly.reduce(coeffs, p, 2), a, p)
+            assert w == complex(float.fromhex(re), float.fromhex(im))
 
 
 def test_weyl_direct_memory_is_bounded():
@@ -188,6 +215,32 @@ def test_fd_pair_check_t42_p101():
     doc = report.to_json_dict()
     assert doc["p"] == 101 and doc["crit_rational"][0] == report.crit_found_f
     assert doc["exact_p2_multiset_equal"] is True
+
+
+def test_fd_pair_check_fails_closed_on_the_p2_certificate(monkeypatch, capsys):
+    # shift the first member's critical residues by p: still equal to the
+    # second member's mod p, no longer mod p^2
+    p = 101
+    first = FpPoly.reduce(scaled_integral_pair(42)[0], p, 2)
+    original = weyl.critical_residues
+
+    def shifted(f, a, p):
+        residues = original(f, a, p)
+        return [(r + p) % (p * p) for r in residues] if f == first else residues
+
+    monkeypatch.setattr(weyl, "critical_residues", shifted)
+    with pytest.raises(VerificationError):
+        fd_pair_check(42, p, 7)
+    assert main(["weyl", "--t", "42", "--p", str(p), "--a", "7"]) == 1
+    out = capsys.readouterr().out
+    assert json.loads(out)["error"]["type"] == "VerificationError"
+
+
+def test_fd_pair_check_p2999_in_time():
+    start = time.perf_counter()
+    report = fd_pair_check(42, 2999, 5)
+    assert time.perf_counter() - start < 5.0
+    assert report.exact_p2_multiset_equal and report.within_tolerance
 
 
 def test_fd_pair_check_guards():
