@@ -27,21 +27,6 @@ from .poly import Poly
 _NEGATIVE_EXIT = 2
 _ERROR_EXIT = 1
 
-_SYMBOLIC_T = {
-    "inf": None,  # handled specially
-    "rho": ("rho",),
-    "rho-bar": ("rho_bar",),
-    "omega": ("omega",),
-    "omega2": ("omega2",),
-    "m2omega": ("omega", -2),
-    "m2omega2": ("omega2", -2),
-    "omega-rho": ("omega", "rho"),
-    "omega2-rho": ("omega2", "rho"),
-    "omega-rho-bar": ("omega", "rho_bar"),
-    "omega2-rho-bar": ("omega2", "rho_bar"),
-}
-
-
 def _emit(doc, stream=None) -> None:
     (stream or sys.stdout).write(jsonio.dumps_canonical(doc) + "\n")
 
@@ -51,29 +36,16 @@ def parse_t(text: str, field: FieldSpec):
     token = text.strip().lower()
     if token == "inf":
         return INF
-    if token in _SYMBOLIC_T:
-        parts = _SYMBOLIC_T[token]
-        value = field.one
-        for p in parts:
-            value = value * (field.named_element(p) if isinstance(p, str) else p)
-        return value
+    if token in family.SPECIAL_T:
+        return family.special_t(token, field)
     return field.from_rational(Fraction(text))
-
-
-def _display_root(field: FieldSpec) -> complex:
-    if field.name in DISPLAY_EMBEDDINGS:
-        return DISPLAY_EMBEDDINGS[field.name]
-    import numpy as np  # deferred: only the float display needs it
-
-    roots = np.roots([float(c) for c in reversed(field.modulus)])
-    return complex(sorted(roots, key=lambda z: (z.real, z.imag))[0])
 
 
 def display_critical_values(cv: Poly) -> list[list[float]] | None:
     """Numeric critical values, the roots of the cv polynomial, via a fixed
     complex embedding: display only; None when a coefficient or a value is
     not a finite float."""
-    root = _display_root(cv.field)
+    root = DISPLAY_EMBEDDINGS[cv.field.name]
     try:
         cs = [c.complex_embedding(root) for c in reversed(cv.coeffs)]
     except OverflowError:
@@ -238,21 +210,14 @@ def _cmd_lift(args) -> int:
 
 
 def _cmd_weyl(args) -> int:
-    if args.direct_only:
+    if args.direct_only or args.reduced_only:
+        fn, key = ((weyl.weyl_direct, "W") if args.direct_only
+                   else (weyl.weyl_reduced, "reduced"))
         F, G = weyl.scaled_integral_pair(args.t)
-        df = weyl.weyl_direct(weyl.FpPoly.reduce(F, args.p, 2), args.a, args.p)
-        dg = weyl.weyl_direct(weyl.FpPoly.reduce(G, args.p, 2), args.a, args.p)
+        vf, vg = (fn(weyl.FpPoly.reduce(P, args.p, 2), args.a, args.p) for P in (F, G))
         _emit({"p": args.p, "a": args.a, "t": args.t,
-               "W_f": [df.real, df.imag], "W_g": [dg.real, dg.imag],
-               "pair_difference": abs(df - dg)})
-        return 0
-    if args.reduced_only:
-        F, G = weyl.scaled_integral_pair(args.t)
-        rf = weyl.weyl_reduced(weyl.FpPoly.reduce(F, args.p, 2), args.a, args.p)
-        rg = weyl.weyl_reduced(weyl.FpPoly.reduce(G, args.p, 2), args.a, args.p)
-        _emit({"p": args.p, "a": args.a, "t": args.t,
-               "reduced_f": [rf.real, rf.imag], "reduced_g": [rg.real, rg.imag],
-               "pair_difference": abs(rf - rg)})
+               f"{key}_f": [vf.real, vf.imag], f"{key}_g": [vg.real, vg.imag],
+               "pair_difference": abs(vf - vg)})
         return 0
     report = weyl.fd_pair_check(args.t, args.p, args.a)
     _emit(report.to_json_dict())
@@ -376,11 +341,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except EqcritError as exc:
-        _emit({"error": {"type": type(exc).__name__, "message": str(exc)}})
-        print(f"error: {exc}", file=sys.stderr)
-        return _ERROR_EXIT
-    except (ValueError, ArithmeticError, OSError, KeyError) as exc:
+    except (EqcritError, ValueError, ArithmeticError, OSError, KeyError) as exc:
         _emit({"error": {"type": type(exc).__name__, "message": str(exc)}})
         print(f"error: {exc}", file=sys.stderr)
         return _ERROR_EXIT

@@ -26,7 +26,7 @@ class CVPoly:
         return poly_gcd(self.poly, self.poly.derivative()).degree == 0
 
 
-def cvpoly(f: Poly, d: int | None = None) -> CVPoly:
+def cvpoly(f: Poly) -> CVPoly:
     """Critical-value polynomial of f: monic, degree d-1, the product of
     y - f(c) over the roots c of f'.
 
@@ -39,10 +39,7 @@ def cvpoly(f: Poly, d: int | None = None) -> CVPoly:
     """
     if f.is_zero() or f.degree < 2:
         raise DegreeMismatch("cvpoly needs a polynomial of degree >= 2")
-    if d is None:
-        d = f.degree
-    elif d != f.degree:
-        raise DegreeMismatch(f"declared degree {d} but deg f = {f.degree}")
+    d = f.degree
     field = f.field
     n = d - 1
     inv = (field.coerce(d) * f.lc).inverse()

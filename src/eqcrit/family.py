@@ -8,6 +8,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 from typing import Optional, Sequence
 
 from .critical import CVPoly, affine_equivalent, cvpoly, post_compose
@@ -15,7 +17,7 @@ from .errors import (ExcludedT, FieldTooSmall, NoPair, PoleAtT,
                      VerificationError)
 from .fields import QQ, AlgElem, FieldSpec
 from .moduli import (INF, ProjValue, ShortWeierstrass, as_proj, beta4,
-                     is_inf, pi3, weierstrass_integral)
+                     is_inf, map_at, pi3, weierstrass_integral)
 from .poly import Poly
 
 
@@ -55,67 +57,36 @@ class EquicriticalPair:
 
 def gamma(t, field: FieldSpec = QQ) -> ProjValue:
     """gamma(t) = (t+2)/(t-1), the involution swapping the pair members."""
-    t = as_proj(t, field)
-    if is_inf(t):
-        return field.one
-    if t == 1:
-        return INF
-    return (t + 2) / (t - 1)
+    return map_at(as_proj(t, field), field.one, lambda t: (t + 2) / (t - 1))
 
 
 def x1(t, field: FieldSpec = QQ) -> ProjValue:
     """x1(t) = 27/(t^3 - 1) on the level-3 model."""
-    t = as_proj(t, field)
-    if is_inf(t):
-        return field.zero
-    d = t ** 3 - 1
-    if d.is_zero():
-        return INF
-    return 27 / d
+    return map_at(as_proj(t, field), field.zero, lambda t: 27 / (t ** 3 - 1))
 
 
 def x2(t, field: FieldSpec = QQ) -> ProjValue:
     """x2(t) = 3(t-1)^3/(t^2+t+1) = x1((t+2)/(t-1))."""
-    t = as_proj(t, field)
-    if is_inf(t):
-        return INF
-    d = t ** 2 + t + 1
-    if d.is_zero():
-        return INF
-    return (t - 1) ** 3 * 3 / d
+    return map_at(as_proj(t, field), INF,
+                  lambda t: (t - 1) ** 3 * 3 / (t ** 2 + t + 1))
 
 
 def j1(t, field: FieldSpec = QQ) -> ProjValue:
     """j1(t) = 1728 t^3/(t^3-1), the critical-point j of the first member."""
-    t = as_proj(t, field)
-    if is_inf(t):
-        return field.coerce(1728)
-    d = t ** 3 - 1
-    if d.is_zero():
-        return INF
-    return t ** 3 * 1728 / d
+    return map_at(as_proj(t, field), field.coerce(1728),
+                  lambda t: t ** 3 * 1728 / (t ** 3 - 1))
 
 
 def j2(t, field: FieldSpec = QQ) -> ProjValue:
     """j2(t) = 1728 + 192 (t-1)^3/(t^2+t+1) = j1(gamma(t))."""
-    t = as_proj(t, field)
-    if is_inf(t):
-        return INF
-    d = t ** 2 + t + 1
-    if d.is_zero():
-        return INF
-    return (t - 1) ** 3 * 192 / d + 1728
+    return map_at(as_proj(t, field), INF,
+                  lambda t: (t - 1) ** 3 * 192 / (t ** 2 + t + 1) + 1728)
 
 
 def jt(t, field: FieldSpec = QQ) -> ProjValue:
     """j_t = 27 (t (t^3+8)/(t^3-1))^3, the shared critical j-invariant."""
-    t = as_proj(t, field)
-    if is_inf(t):
-        return INF
-    d = t ** 3 - 1
-    if d.is_zero():
-        return INF
-    return (t * (t ** 3 + 8)) ** 3 * 27 / d ** 3
+    return map_at(as_proj(t, field), INF,
+                  lambda t: (t * (t ** 3 + 8)) ** 3 * 27 / (t ** 3 - 1) ** 3)
 
 
 # -- closed-form family members ------------------------------------------------
@@ -151,31 +122,39 @@ def g_t(t, field: FieldSpec = QQ) -> Poly:
 # -- special elements and the excluded set --------------------------------------
 
 
+# token -> (factors, case) for every non-generic finite parameter: the value
+# is the product of the factors, each a named field element or a rational
+SPECIAL_T: dict[str, tuple[tuple, PairCase]] = {
+    "0": ((0,), PairCase.T0),
+    "1": ((1,), PairCase.T1),
+    "-2": ((-2,), PairCase.TM2),
+    "rho": (("rho",), PairCase.RHO),
+    "rho-bar": (("rho_bar",), PairCase.RHO_BAR),
+    "omega": (("omega",), PairCase.CUSP_OMEGA),
+    "omega2": (("omega2",), PairCase.CUSP_OMEGA),
+    "m2omega": (("omega", -2), PairCase.M2_OMEGA),
+    "m2omega2": (("omega2", -2), PairCase.M2_OMEGA2),
+    "omega-rho": (("omega", "rho"), PairCase.OMEGA_RHO),
+    "omega2-rho": (("omega2", "rho"), PairCase.OMEGA2_RHO),
+    "omega-rho-bar": (("omega", "rho_bar"), PairCase.OMEGA_RHO_BAR),
+    "omega2-rho-bar": (("omega2", "rho_bar"), PairCase.OMEGA2_RHO_BAR),
+}
+
+
+def special_t(token: str, field: FieldSpec) -> AlgElem:
+    """The value of a SPECIAL_T token in the field, the product of its
+    factors from the first on; FieldTooSmall when a named factor is not
+    representable there."""
+    return reduce(mul, (field.named_element(p) if isinstance(p, str)
+                        else field.from_rational(p) for p in SPECIAL_T[token][0]))
+
+
 def _special_values(field: FieldSpec) -> list[tuple[AlgElem, PairCase]]:
     """The non-generic parameter values representable in the field, with the
     case each one dispatches to."""
-    out: list[tuple[AlgElem, PairCase]] = [
-        (field.from_rational(0), PairCase.T0),
-        (field.from_rational(1), PairCase.T1),
-        (field.from_rational(-2), PairCase.TM2),
-    ]
-    if field.has_named("omega"):
-        w = field.named_element("omega")
-        w2 = field.named_element("omega2")
-        out += [(w, PairCase.CUSP_OMEGA), (w2, PairCase.CUSP_OMEGA),
-                (w * -2, PairCase.M2_OMEGA), (w2 * -2, PairCase.M2_OMEGA2)]
-    if field.has_named("sqrt3"):
-        rho = field.named_element("rho")
-        rho_bar = field.named_element("rho_bar")
-        out += [(rho, PairCase.RHO), (rho_bar, PairCase.RHO_BAR)]
-        if field.has_named("omega"):
-            w = field.named_element("omega")
-            w2 = field.named_element("omega2")
-            out += [(w * rho, PairCase.OMEGA_RHO),
-                    (w2 * rho, PairCase.OMEGA2_RHO),
-                    (w * rho_bar, PairCase.OMEGA_RHO_BAR),
-                    (w2 * rho_bar, PairCase.OMEGA2_RHO_BAR)]
-    return out
+    return [(special_t(token, field), case)
+            for token, (factors, case) in SPECIAL_T.items()
+            if all(field.has_named(p) for p in factors if isinstance(p, str))]
 
 
 def classify_parameter(t, field: FieldSpec = QQ) -> PairCase:

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .critical import cvpoly, post_compose
 from .errors import (EllipticJ, EllipticTargetObstruction, JMismatch,
@@ -46,22 +46,30 @@ def as_proj(v, field: FieldSpec = QQ) -> ProjValue:
     return field.coerce(v)
 
 
+def map_at(t: ProjValue, at_inf: ProjValue,
+           formula: Callable[[AlgElem], ProjValue]) -> ProjValue:
+    """A rational map of P^1 at t: at_inf at t = inf, formula(t) elsewhere,
+    and inf at a pole, where the formula's one division hits zero."""
+    if is_inf(t):
+        return at_inf
+    try:
+        return formula(t)
+    except ZeroDivisionError:
+        return INF
+
+
 # -- the three explicit maps -------------------------------------------------
 
 
 def psi4(j: ProjValue) -> ProjValue:
     """j/64 - 27, the isomorphism onto the level-3 model; inf -> inf."""
-    if is_inf(j):
-        return INF
-    return j / 64 - 27
+    return map_at(j, INF, lambda j: j / 64 - 27)
 
 
 def pi3(u: ProjValue) -> ProjValue:
     """(u+3)^3 (u+27) / u; the degree-4 covering of the j-line.
     pi3(0) = pi3(inf) = inf."""
-    if is_inf(u) or u.is_zero():
-        return INF
-    return (u + 3) ** 3 * (u + 27) / u
+    return map_at(u, INF, lambda u: (u + 3) ** 3 * (u + 27) / u)
 
 
 def beta4(j: ProjValue) -> ProjValue:
@@ -69,9 +77,7 @@ def beta4(j: ProjValue) -> ProjValue:
 
     Equals pi3(psi4(j)) as an exact identity of rational maps.
     """
-    if is_inf(j) or j == 1728:
-        return INF
-    return j * (j - 1536) ** 3 / ((j - 1728) * (1 << 18))
+    return map_at(j, INF, lambda j: j * (j - 1536) ** 3 / ((j - 1728) * (1 << 18)))
 
 
 # -- branch quadruples and short Weierstrass curves ---------------------------
@@ -83,11 +89,7 @@ def j_of_cubic(p: Poly) -> ProjValue:
     cubic has a repeated root)."""
     if p.is_zero() or p.degree != 3 or p.lc != 1:
         raise ValueError("j_of_cubic needs a monic cubic")
-    A, B = depressed_cubic_constants(p)
-    disc = (A ** 3 * 4 + B ** 2 * 27) * (-16)
-    if disc.is_zero():
-        return INF
-    return A ** 3 * (-1728 * 64) / disc
+    return ShortWeierstrass(*depressed_cubic_constants(p)).j
 
 
 def depressed_cubic_constants(p: Poly) -> tuple[AlgElem, AlgElem]:
@@ -270,33 +272,32 @@ def _rational_root(r: Fraction, k: int) -> Optional[Fraction]:
     return None
 
 
+def _twist_alpha(A0: AlgElem, B0: AlgElem, A1: AlgElem, B1: AlgElem) -> AlgElem:
+    """alpha = A0 B1 / (A1 B0), checked against alpha^2 = A1/A0 and
+    alpha^3 = B1/B0 (A, B of two curves with equal nonelliptic j)."""
+    alpha = (A0 * B1) / (A1 * B0)
+    if alpha ** 2 != A1 / A0 or alpha ** 3 != B1 / B0:
+        raise VerificationError("twist scale verification equalities failed")
+    return alpha
+
+
 def _transport(f0: Poly, q0: Poly, q1: Poly) -> Optional[Poly]:
     """Affine map mu with cvpoly(mu o f0) = q1, given cvpoly(f0) = q0 and
     j(q0-quadruple) = j(q1-quadruple); None when the needed root is
     irrational (elliptic j only)."""
-    field = f0.field
     s0 = q0.coeff(2) / (-3)
     s1 = q1.coeff(2) / (-3)
     A0, B0 = depressed_cubic_constants(q0)
     A1, B1 = depressed_cubic_constants(q1)
     if not A0.is_zero() and not B0.is_zero():
-        alpha = (A0 * B1) / (A1 * B0)
-        if alpha ** 2 != A1 / A0 or alpha ** 3 != B1 / B0:
-            raise VerificationError("twist transport consistency check failed")
-    elif A0.is_zero():
-        # j = 0: need a rational cube root of B1/B0
-        ratio = (B1 / B0).as_rational()
-        root = _rational_root(ratio, 3)
-        if root is None:
-            return None
-        alpha = field.coerce(root)
+        alpha = _twist_alpha(A0, B0, A1, B1)
     else:
-        # j = 1728: need a rational square root of A1/A0
-        ratio = (A1 / A0).as_rational()
-        root = _rational_root(ratio, 2)
+        # j = 0 needs a rational cube root of B1/B0, j = 1728 a square root of A1/A0
+        ratio, k = (B1 / B0, 3) if A0.is_zero() else (A1 / A0, 2)
+        root = _rational_root(ratio.as_rational(), k)
         if root is None:
             return None
-        alpha = field.coerce(root)
+        alpha = f0.field.coerce(root)
     # mu(z) = alpha (z - s0) + s1
     return post_compose(alpha, s1 - alpha * s0, f0)
 
@@ -357,7 +358,4 @@ def twist_scale(E0: ShortWeierstrass, E1: ShortWeierstrass) -> AlgElem:
         raise EllipticJ("twist scale needs A B != 0 on both curves")
     if E0.j != E1.j:
         raise JMismatch("curves have different j-invariants")
-    alpha = (E0.A * E1.B) / (E1.A * E0.B)
-    if alpha ** 2 != E1.A / E0.A or alpha ** 3 != E1.B / E0.B:
-        raise VerificationError("twist scale verification equalities failed")
-    return alpha
+    return _twist_alpha(E0.A, E0.B, E1.A, E1.B)

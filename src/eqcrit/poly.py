@@ -151,12 +151,6 @@ class Poly:
             acc = acc * x + c
         return acc
 
-    def shift_x(self, k: int) -> "Poly":
-        """Multiply by x^k."""
-        if self.is_zero():
-            return self
-        return Poly(self.field, (self.field.zero,) * k + self.coeffs)
-
     # -- calculus-flavoured helpers --------------------------------------
 
     def derivative(self) -> "Poly":
@@ -407,8 +401,9 @@ def rational_roots(p: Poly) -> list[Fraction]:
 
     With s the squarefree part of p, denominators cleared, n = deg s and
     lc = lc(s), the distinct roots are y/lc for the integer roots y of the
-    monic lc^(n-1) s(y/lc) (see :func:`_integer_roots`); exact deflation
-    then gives the multiplicities.
+    monic lc^(n-1) s(y/lc) (see :func:`_integer_roots`); a root's
+    multiplicity is one more than the number of successive derivatives of
+    p it annuls.
     """
     if p.is_zero():
         raise ValueError("rational roots of the zero polynomial")
@@ -430,31 +425,17 @@ def rational_roots(p: Poly) -> list[Fraction]:
     if g > 1:
         ints = [c // g for c in ints]
 
-    def eval_int(cs: list[int], r: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(cs):
-            acc = acc * r + c
-        return acc
-
-    def deflate(cs: list[int], r: Fraction) -> list[int]:
-        # cs / (x - r), exact; clear the denominator reintroduced by r
-        quot_fr: list[Fraction] = [Fraction(0)] * (len(cs) - 1)
-        acc = Fraction(0)
-        for i in range(len(cs) - 1, 0, -1):
-            acc = acc * r + cs[i]
-            quot_fr[i - 1] = acc
-        d = math.lcm(*(q.denominator for q in quot_fr))
-        out = [int(q * d) for q in quot_fr]
-        gg = math.gcd(*out)
-        return [c // gg for c in out] if gg > 1 else out
-
-    sqf = [c.as_rational() for c in squarefree_part(Poly(QQ, ints)).coeffs]
+    whole = Poly(QQ, ints)
+    sqf = [c.as_rational() for c in squarefree_part(whole).coeffs]
     sden = math.lcm(*(c.denominator for c in sqf))
     s = [int(c * sden) for c in sqf]
     n, lc = len(s) - 1, s[-1]
     t = [c * lc ** (n - 1 - i) for i, c in enumerate(s[:-1])] + [1]
     for r in sorted(Fraction(y, lc) for y in _integer_roots(t)):
-        while eval_int(ints, r) == 0:
+        # a root of p of multiplicity k annuls exactly k - 1 of p', p'', ...
+        roots.append(r)
+        q = whole.derivative()
+        while q(r).is_zero():
             roots.append(r)
-            ints = deflate(ints, r)
+            q = q.derivative()
     return sorted(roots)

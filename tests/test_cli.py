@@ -7,7 +7,10 @@ from fractions import Fraction
 
 import pytest
 
-from eqcrit.cli import main
+from eqcrit.cli import main, parse_t
+from eqcrit.errors import FieldTooSmall
+from eqcrit.family import SPECIAL_T, PairCase, classify_parameter
+from eqcrit.fields import PRESETS
 
 
 def run_cli(capsys, *argv):
@@ -46,6 +49,38 @@ def test_pair_symbolic_tokens(capsys):
     assert code == 0 and doc["case"] == "OmegaRho"
     code, doc = run_cli(capsys, "pair", "--t", "inf")
     assert code == 0 and doc["case"] == "TInfinity" and doc["t"] == "inf"
+
+
+# token -> (case, named elements in the order the value is built from them)
+_TOKENS = {
+    "0": ("T0", ()), "1": ("T1", ()), "-2": ("Tm2", ()),
+    "rho": ("Rho", ("rho",)), "rho-bar": ("RhoBar", ("rho_bar",)),
+    "omega": ("CuspOmega", ("omega",)), "omega2": ("CuspOmega", ("omega2",)),
+    "m2omega": ("M2Omega", ("omega",)), "m2omega2": ("M2Omega2", ("omega2",)),
+    "omega-rho": ("OmegaRho", ("omega", "rho")),
+    "omega2-rho": ("Omega2Rho", ("omega2", "rho")),
+    "omega-rho-bar": ("OmegaRhoBar", ("omega", "rho_bar")),
+    "omega2-rho-bar": ("Omega2RhoBar", ("omega2", "rho_bar")),
+}
+
+
+def test_special_t_covers_every_finite_case():
+    assert set(SPECIAL_T) == set(_TOKENS)
+    cases = {case for _, case in SPECIAL_T.values()}
+    assert cases | {PairCase.GENERIC, PairCase.T_INFINITY} == set(PairCase)
+
+
+@pytest.mark.parametrize("field", PRESETS.values(), ids=list(PRESETS))
+def test_every_token_on_every_preset(field):
+    assert classify_parameter(parse_t("inf", field), field) is PairCase.T_INFINITY
+    for token, (case, names) in _TOKENS.items():
+        missing = [name for name in names if not field.has_named(name)]
+        if missing:
+            with pytest.raises(FieldTooSmall, match=f"^'{missing[0]}' is not "
+                                                    f"representable in {field.name}$"):
+                parse_t(token, field)
+        else:
+            assert classify_parameter(parse_t(token, field), field).value == case, token
 
 
 def test_pair_no_pair_exit_2(capsys):

@@ -8,7 +8,7 @@ from eqcrit.errors import FieldTooSmall, NoPair, PoleAtT
 from eqcrit.family import (PairCase, classify_parameter,
                            f_t, g_t, gamma, j1, j2, jt, jt_fiber_parameters,
                            pair, pipeline_pair, sweep, x1, x2)
-from eqcrit.fields import Q_OMEGA, Q_SQRT3, Q_ZETA12, QQ
+from eqcrit.fields import PRESETS, Q_OMEGA, Q_SQRT3, Q_ZETA12, QQ
 from eqcrit.moduli import INF, ShortWeierstrass, beta4, is_inf, pi3
 from eqcrit.poly import Poly
 
@@ -256,6 +256,31 @@ def test_map_infinity_conventions():
     w = Q_OMEGA.named_element("omega")
     assert is_inf(jt(w, Q_OMEGA))
     assert is_inf(x2(w, Q_OMEGA))
+
+
+# map -> (value at inf, its poles among t in {1, omega, omega2})
+_MAP_POLES = {
+    gamma: (1, {"1"}),
+    x1: (0, {"1", "omega", "omega2"}),
+    x2: (INF, {"omega", "omega2"}),
+    j1: (1728, {"1", "omega", "omega2"}),
+    j2: (INF, {"omega", "omega2"}),
+    jt: (INF, {"1", "omega", "omega2"}),
+}
+
+
+@pytest.mark.parametrize("field", PRESETS.values(), ids=list(PRESETS))
+def test_map_poles_on_every_preset(field):
+    points = {"1": field.one}
+    for name in ("omega", "omega2"):
+        if field.has_named(name):
+            points[name] = field.named_element(name)
+    for fn, (at_inf, poles) in _MAP_POLES.items():
+        value = fn(INF, field)
+        assert value == at_inf, fn.__name__
+        assert is_inf(value) or value.field == field
+        for name, t in points.items():
+            assert is_inf(fn(t, field)) == (name in poles), (fn.__name__, name)
 
 
 def test_sweep_rows():

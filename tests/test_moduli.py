@@ -8,7 +8,7 @@ from eqcrit.critical import cvpoly, affine_equivalent, theta, \
     poly_from_critical_points
 from eqcrit.errors import (EllipticJ, JMismatch, NoRationalFiberPoint,
                            NotDistinct)
-from eqcrit.fields import Q_SQRT3, QQ
+from eqcrit.fields import PRESETS, Q_SQRT3, QQ
 from eqcrit.moduli import (CURVE_J0, CURVE_J1728, INF, ShortWeierstrass,
                            _rational_root, all_lifts, beta4, cj_membership,
                            classify_critical_values, curve_with_j,
@@ -45,6 +45,14 @@ def test_pi3_psi4_values():
     assert is_inf(pi3(INF))
     assert psi4(QQ.from_rational(1728)) == 0
     assert is_inf(psi4(INF))
+
+
+@pytest.mark.parametrize("field", PRESETS.values(), ids=list(PRESETS))
+def test_moduli_maps_poles_on_every_preset(field):
+    assert is_inf(pi3(field.zero))
+    assert is_inf(beta4(field.coerce(1728)))
+    assert psi4(field.coerce(1728)) == 0
+    assert pi3(field.coerce(-3)) == 0 and beta4(field.coerce(1536)) == 0
 
 
 def test_beta4_factorization_random():
