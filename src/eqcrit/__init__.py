@@ -11,10 +11,10 @@ from .family import (EquicriticalPair, PairCase, f_t, g_t, gamma, j1, j2, jt,
 from .fields import (PRESETS, Q_OMEGA, Q_SQRT3, Q_ZETA12, QQ, AlgElem,
                      FieldSpec)
 from .moduli import (INF, ClassifyResult, Fiber, ProjValue, ShortWeierstrass,
-                     all_lifts, beta4, cj_membership, classify_critical_values,
-                     curve_with_j, fiber_beta4, j_of_cubic, jcv_of_curve,
-                     lifts_from_cvpoly, pi3, psi4, twist_scale,
-                     weierstrass_integral)
+                     beta4, cj_membership, classify_critical_values,
+                     critical_fiber, cubic_with_roots, curve_with_j,
+                     fiber_beta4, j_of_cubic, jcv_of_curve, lifts_from_cvpoly,
+                     pi3, psi4, twist_scale, weierstrass_integral)
 from .poly import (Poly, poly_gcd, rational_roots, resultant,
                    resultant_bivariate, squarefree_part)
 from .weyl import (FpPoly, WeylReport, crit_values_mod_p, fd_pair_check,

@@ -178,26 +178,30 @@ def _cmd_fiber(args) -> int:
     return 0
 
 
-def _classify_doc(y: list[Fraction]) -> dict:
-    """The j / exists / witness_u document that classify and lift share."""
-    res = moduli.classify_critical_values(*y)
-    return {"j": jsonio.proj_to_json(res.j),
-            "exists": res.exists if isinstance(res.exists, bool) else "out-of-scope",
-            "witness_u": None if res.witness_u is None
-            else jsonio.format_rational(res.witness_u)}
+def _classify_doc(args) -> tuple[dict, Poly, moduli.Fiber]:
+    """The j / exists / witness_u document that classify and lift share,
+    with the target cubic and the beta4-fiber it was read from."""
+    y = [Fraction(v) for v in (args.y1, args.y2, args.y3)]
+    q = moduli.cubic_with_roots(*y, QQ)
+    fiber = moduli.critical_fiber(q)
+    res = moduli.classify_critical_values(fiber)
+    doc = {"j": jsonio.proj_to_json(res.j),
+           "exists": res.exists,
+           "witness_u": None if res.witness_u is None
+           else jsonio.format_rational(res.witness_u)}
+    return doc, q, fiber
 
 
 def _cmd_classify(args) -> int:
-    doc = _classify_doc([Fraction(v) for v in (args.y1, args.y2, args.y3)])
+    doc, _, _ = _classify_doc(args)
     _emit(doc)
     return 0 if doc["exists"] is True else _NEGATIVE_EXIT
 
 
 def _cmd_lift(args) -> int:
-    y = [Fraction(v) for v in (args.y1, args.y2, args.y3)]
-    doc = _classify_doc(y)
+    doc, q, fiber = _classify_doc(args)
     try:
-        lifts = moduli.all_lifts(*y)
+        lifts = moduli.lifts_from_cvpoly(q, fiber)
     except (NoRationalFiberPoint, EllipticTargetObstruction) as exc:
         doc["lift"] = None
         doc["obstruction"] = type(exc).__name__
@@ -304,19 +308,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jcv", required=True, help="rational value or 'inf'")
     p.set_defaults(fn=_cmd_fiber)
 
-    p = sub.add_parser("classify", help="existence of a rational quartic with "
-                                        "the given critical values")
-    for name in ("--y1", "--y2", "--y3"):
-        p.add_argument(name, required=True,
-                       help="rational value (write --y1=-3/4 for negatives)")
-    p.set_defaults(fn=_cmd_classify)
-
-    p = sub.add_parser("lift", help="construct a rational quartic with the "
-                                    "given critical values")
-    for name in ("--y1", "--y2", "--y3"):
-        p.add_argument(name, required=True,
-                       help="rational value (write --y1=-3/4 for negatives)")
-    p.set_defaults(fn=_cmd_lift)
+    for name, fn, help_ in (
+            ("classify", _cmd_classify,
+             "existence of a rational quartic with the given critical values"),
+            ("lift", _cmd_lift,
+             "construct a rational quartic with the given critical values")):
+        p = sub.add_parser(name, help=help_)
+        for flag in ("--y1", "--y2", "--y3"):
+            p.add_argument(flag, required=True,
+                           help="rational value (write --y1=-3/4 for negatives)")
+        p.set_defaults(fn=fn)
 
     p = sub.add_parser("weyl", help="Weyl-sum report for the scaled pair at t")
     p.add_argument("--t", required=True, type=int)

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Callable, ClassVar, Optional, Union
 
 from .critical import cvpoly, post_compose
 from .errors import (EllipticJ, EllipticTargetObstruction, JMismatch,
@@ -178,11 +178,18 @@ class Fiber:
     v: ProjValue
     polynomial: Poly
     points: list[tuple[ProjValue, int]]
-    total_multiplicity: int = 4
+    total_multiplicity: ClassVar[int] = 4
 
     @property
     def accounted_multiplicity(self) -> int:
         return sum(m for _, m in self.points)
+
+    @property
+    def witness_u(self) -> Optional[Fraction]:
+        """The least rational u with pi3(u) = v, or None: psi4 of the least
+        finite rational point, since beta4 = pi3 o psi4 and psi4 increases."""
+        js = [pt.as_rational() for pt, _ in self.points if not is_inf(pt)]
+        return psi4(min(js)) if js else None
 
 
 def fiber_polynomial(v: AlgElem, field: FieldSpec = QQ) -> Poly:
@@ -209,20 +216,18 @@ def fiber_beta4(v, field: FieldSpec = QQ) -> Fiber:
 
 
 def cj_membership(v) -> Optional[Fraction]:
-    """A rational witness u with pi3(u) = v, if one exists.
+    """The smallest rational witness u with pi3(u) = v, or None; read off
+    the beta4-fiber over v (v = inf has the witness u = 0)."""
+    return fiber_beta4(v).witness_u
 
-    v = inf has the witness u = 0; otherwise witnesses are the rational
-    roots of (u+3)^3 (u+27) - v*u.  Returns the smallest witness, or None.
-    """
-    v = as_proj(v, QQ)
+
+def critical_fiber(q: Poly) -> Fiber:
+    """The beta4-fiber over the critical j-invariant of a monic cubic; its
+    ``v`` is that j.  Classification and lifting both read it."""
+    v = j_of_cubic(q)
     if is_inf(v):
-        return Fraction(0)
-    if not v.is_rational():
-        raise ValueError("membership witness search is implemented over Q")
-    x = Poly(QQ, (0, 1))
-    member_poly = (x + 3) ** 3 * (x + 27) - x * v.as_rational()
-    roots = [r for r in rational_roots(member_poly) if r != 0]
-    return min(roots) if roots else None
+        raise NotDistinct("the target cubic has a repeated root")
+    return fiber_beta4(v, q.field)
 
 
 # -- classification and constructive lifting -----------------------------------
@@ -238,7 +243,8 @@ class ClassifyResult:
     witness_u: Optional[Fraction] = None
 
 
-def _triple_cubic(y1, y2, y3, field: FieldSpec) -> Poly:
+def cubic_with_roots(y1, y2, y3, field: FieldSpec) -> Poly:
+    """(x - y1)(x - y2)(x - y3) over the field, for pairwise distinct y."""
     ys = [field.coerce(y) for y in (y1, y2, y3)]
     if ys[0] == ys[1] or ys[0] == ys[2] or ys[1] == ys[2]:
         raise NotDistinct("branch points must be pairwise distinct")
@@ -246,15 +252,14 @@ def _triple_cubic(y1, y2, y3, field: FieldSpec) -> Poly:
     return (x - ys[0]) * (x - ys[1]) * (x - ys[2])
 
 
-def classify_critical_values(y1, y2, y3, field: FieldSpec = QQ) -> ClassifyResult:
-    """Does a quartic over the field have exactly these critical values?
-    Decided through the critical-j membership test away from the elliptic
-    j-invariants {0, 1728}, where the characterization does not apply."""
-    q = _triple_cubic(y1, y2, y3, field)
-    j = j_of_cubic(q)
+def classify_critical_values(fiber: Fiber) -> ClassifyResult:
+    """Does a quartic over the field have the critical values of this
+    critical_fiber?  Decided by its membership witness away from the
+    elliptic j in {0, 1728}, where the characterization does not apply."""
+    j = fiber.v
     if j == 0 or j == 1728:
         return ClassifyResult(j, "out-of-scope")
-    u = cj_membership(j)
+    u = fiber.witness_u
     return ClassifyResult(j, u is not None, u)
 
 
@@ -302,20 +307,16 @@ def _transport(f0: Poly, q0: Poly, q1: Poly) -> Optional[Poly]:
     return post_compose(alpha, s1 - alpha * s0, f0)
 
 
-def lifts_from_cvpoly(q1: Poly) -> list[Poly]:
+def lifts_from_cvpoly(q1: Poly, fiber: Fiber) -> list[Poly]:
     """Every quartic whose critical-value polynomial equals the given monic
-    squarefree cubic, obtainable from a rational point of the beta4-fiber;
-    each result is self-verified exactly.
+    squarefree cubic, obtainable from a rational point of its
+    :func:`critical_fiber`; each result is self-verified exactly.
 
     Raises NoRationalFiberPoint when the fiber has no usable rational
     point, and EllipticTargetObstruction when only irrational transports
     exist (possible at j in {0, 1728} only).
     """
     field = q1.field
-    v = j_of_cubic(q1)
-    if is_inf(v):
-        raise NotDistinct("the target cubic has a repeated root")
-    fiber = fiber_beta4(v, field)
     candidates: list[ShortWeierstrass] = []
     for pt, _mult in fiber.points:
         if is_inf(pt) or pt == 1728:
@@ -343,12 +344,6 @@ def lifts_from_cvpoly(q1: Poly) -> list[Poly]:
         raise NoRationalFiberPoint(
             "no rational point in the beta4-fiber over the critical j-invariant")
     return lifts
-
-
-def all_lifts(y1, y2, y3, field: FieldSpec = QQ) -> list[Poly]:
-    """Every quartic over Q with the given distinct critical values that a
-    rational beta4-fiber point produces; see :func:`lifts_from_cvpoly`."""
-    return lifts_from_cvpoly(_triple_cubic(y1, y2, y3, field))
 
 
 def twist_scale(E0: ShortWeierstrass, E1: ShortWeierstrass) -> AlgElem:

@@ -15,9 +15,10 @@ from eqcrit.errors import NoPair, NoRationalFiberPoint
 from eqcrit.family import (PairCase, f_t, gamma, j1, j2, jt, pair, x1, x2)
 from eqcrit.fields import Q_OMEGA, Q_SQRT3, Q_ZETA12, QQ
 from eqcrit.moduli import (INF, ShortWeierstrass, beta4,
-                           classify_critical_values, all_lifts, fiber_beta4,
-                           j_of_cubic, jcv_of_curve, lifts_from_cvpoly, pi3,
-                           psi4, weierstrass_integral)
+                           classify_critical_values, critical_fiber,
+                           cubic_with_roots, fiber_beta4, j_of_cubic,
+                           jcv_of_curve, lifts_from_cvpoly, pi3, psi4,
+                           weierstrass_integral)
 from eqcrit.poly import (Poly, divmod_poly, rational_roots, resultant,
                          resultant_bivariate)
 from eqcrit.weyl import fd_pair_check
@@ -211,11 +212,13 @@ def test_criterion_7_classification_roundtrip():
         ys = [y.as_rational() for y in theta(pts)]
         if len(set(ys)) < 3:
             continue
-        res = classify_critical_values(*ys)
+        q = cubic_with_roots(*ys, QQ)
+        fib = critical_fiber(q)
+        res = classify_critical_values(fib)
         if not isinstance(res.exists, bool):
             continue
         assert res.exists is True
-        lifts = all_lifts(*ys)
+        lifts = lifts_from_cvpoly(q, fib)
         target = cvpoly(poly_from_critical_points(pts)).poly
         for L in lifts:
             assert cvpoly(L).poly == target
@@ -232,11 +235,13 @@ def test_criterion_7_classification_roundtrip():
               for _ in range(3)]
         if len(set(ys)) < 3:
             continue
-        res = classify_critical_values(*ys)
+        q = cubic_with_roots(*ys, QQ)
+        fib = critical_fiber(q)
+        res = classify_critical_values(fib)
         if not isinstance(res.exists, bool):
             continue
         if res.exists:
-            lifts = all_lifts(*ys)
+            lifts = lifts_from_cvpoly(q, fib)
             target = Poly(QQ, (1,))
             for y in ys:
                 target = target * Poly(QQ, (-y, 1))
@@ -245,7 +250,7 @@ def test_criterion_7_classification_roundtrip():
         else:
             none_seen += 1
             with pytest.raises(NoRationalFiberPoint):
-                all_lifts(*ys)
+                lifts_from_cvpoly(q, fib)
         checked += 1
     assert none_seen > 0
     # two rational fiber points -> two inequivalent lifts (the equicritical
@@ -256,7 +261,7 @@ def test_criterion_7_classification_roundtrip():
         q1 = cvpoly(f_t(t)).poly
         fib = fiber_beta4(j_of_cubic(q1))
         assert len([pt for pt, _ in fib.points]) == 2
-        lifts = lifts_from_cvpoly(q1)
+        lifts = lifts_from_cvpoly(q1, fib)
         assert len(lifts) == 2
         assert cvpoly(lifts[0]).poly == q1 == cvpoly(lifts[1]).poly
         assert affine_equivalent(lifts[0], lifts[1]).status == "Inequivalent"

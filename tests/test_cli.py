@@ -19,6 +19,14 @@ def run_cli(capsys, *argv):
     return code, json.loads(out) if out.strip().startswith("{") else out
 
 
+def counted(calls, name, fn):
+    """fn, counting its calls in calls[name]."""
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
 def test_pair_t42_golden(capsys):
     code, doc = run_cli(capsys, "pair", "--t", "42")
     assert code == 0
@@ -131,17 +139,11 @@ def test_pair_computes_each_cvpoly_once(capsys, monkeypatch):
     # the depressed-form equivalence check needs no polynomial gcd here
     from eqcrit import critical, family
     calls = {"cvpoly": 0, "poly_gcd": 0}
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(family, "cvpoly", counted("cvpoly", family.cvpoly))
-    monkeypatch.setattr(critical, "cvpoly", counted("cvpoly", critical.cvpoly))
+    monkeypatch.setattr(family, "cvpoly", counted(calls, "cvpoly", family.cvpoly))
+    monkeypatch.setattr(critical, "cvpoly",
+                        counted(calls, "cvpoly", critical.cvpoly))
     monkeypatch.setattr(critical, "poly_gcd",
-                        counted("poly_gcd", critical.poly_gcd))
+                        counted(calls, "poly_gcd", critical.poly_gcd))
     for argv in (["pair", "--t", "42"],
                  ["pair", "--t", "omega-rho", "--field", "q-zeta12"]):
         calls.update(cvpoly=0, poly_gcd=0)
@@ -252,6 +254,26 @@ def test_classify_and_lift(capsys):
         code2, doc2 = run_cli(capsys, "lift", "--y1", "0", "--y2", "1",
                               "--y3", "3")
         assert code2 == 2 and doc2["lift"] is None
+
+
+def test_classify_and_lift_search_one_fiber(capsys, monkeypatch):
+    # the cubic's j-invariant and its fiber's rational roots are computed
+    # once per op, and classify and lift both read them
+    from eqcrit import moduli
+    from eqcrit.critical import theta
+    from eqcrit.jsonio import format_rational
+    calls = {"j_of_cubic": 0, "rational_roots": 0}
+    for name in calls:
+        monkeypatch.setattr(moduli, name,
+                            counted(calls, name, getattr(moduli, name)))
+    ys = [format_rational(v.as_rational()) for v in theta([1, -2, 3])]
+    triple = [f"--y1={ys[0]}", f"--y2={ys[1]}", f"--y3={ys[2]}"]
+    code, doc = run_cli(capsys, "lift", *triple)
+    assert code == 0 and calls == {"j_of_cubic": 1, "rational_roots": 1}
+    for argv in (triple, ["--y1", "0", "--y2", "1", "--y3", "3"]):
+        calls.update(j_of_cubic=0, rational_roots=0)
+        run_cli(capsys, "classify", *argv)
+        assert max(calls.values()) <= 1
 
 
 def test_classify_and_lift_semiprime_denominator():

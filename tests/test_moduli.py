@@ -3,6 +3,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from sympy import QQ as SQQ
+from sympy.polys.rings import ring
 
 from eqcrit.critical import cvpoly, affine_equivalent, theta, \
     poly_from_critical_points
@@ -10,14 +12,22 @@ from eqcrit.errors import (EllipticJ, JMismatch, NoRationalFiberPoint,
                            NotDistinct)
 from eqcrit.fields import PRESETS, Q_SQRT3, QQ
 from eqcrit.moduli import (CURVE_J0, CURVE_J1728, INF, ShortWeierstrass,
-                           _rational_root, all_lifts, beta4, cj_membership,
-                           classify_critical_values, curve_with_j,
+                           _rational_root, beta4, cj_membership,
+                           classify_critical_values, critical_fiber,
+                           cubic_with_roots, curve_with_j,
                            fiber_beta4, fiber_polynomial, is_inf, j_of_cubic,
                            jcv_of_curve, lifts_from_cvpoly, pi3,
                            psi4, twist_scale, weierstrass_integral)
 from eqcrit.poly import Poly, rational_roots, resultant_bivariate
 
 X = Poly(QQ, (0, 1))
+_, U = ring("u", SQQ)
+
+
+def cubic_and_fiber(*ys):
+    """The cubic with roots ys and its critical fiber, as the CLI builds them."""
+    q = cubic_with_roots(*ys, QQ)
+    return q, critical_fiber(q)
 
 
 def rational_points(rng, n=1, size=10 ** 6):
@@ -187,6 +197,32 @@ def test_cj_membership():
     assert rational_roots(member) == []
 
 
+def least_nonzero_witness(v: Fraction):
+    """The least nonzero rational root of (u+3)^3 (u+27) - v u, from its
+    linear factors over Q in sympy: a search independent of the fiber."""
+    member = (U + 3) ** 3 * (U + 27) - SQQ(v.numerator, v.denominator) * U
+    roots = [-f.coeff(1) / f.coeff(U) for f, _ in member.factor_list()[1]
+             if f.degree() == 1]
+    roots = [Fraction(int(r.numerator), int(r.denominator)) for r in roots if r]
+    return min(roots) if roots else None
+
+
+def test_cj_membership_matches_an_independent_search():
+    rng = random.Random(97)
+    special = [Fraction(0), Fraction(1), Fraction(1728)]
+    generic = [Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 6))
+               for _ in range(150)]
+    curves = []
+    while len(curves) < 100:
+        v = jcv_of_curve(ShortWeierstrass.make(*rational_points(rng, 2, 10 ** 3)))
+        if not is_inf(v):
+            curves.append(v.as_rational())
+    expected = {v: least_nonzero_witness(v) for v in special + generic + curves}
+    assert all(cj_membership(v) == u for v, u in expected.items())
+    assert all(expected[v] is not None for v in curves)
+    assert cj_membership(INF) == 0  # where the reference quartic degenerates
+
+
 def test_cj_membership_pipeline_closure():
     # jcv of a rational curve with rational j always has a witness
     rng = random.Random(79)
@@ -204,10 +240,10 @@ def test_cj_membership_pipeline_closure():
 
 
 def test_classify_examples():
-    res = classify_critical_values(0, 1, -1)
+    res = classify_critical_values(cubic_and_fiber(0, 1, -1)[1])
     assert res.exists == "out-of-scope" and res.j == 1728
     with pytest.raises(NotDistinct):
-        classify_critical_values(1, 1, 2)
+        cubic_with_roots(1, 1, 2, QQ)
 
 
 def test_classify_and_lift_roundtrip_theta_triples():
@@ -221,13 +257,13 @@ def test_classify_and_lift_roundtrip_theta_triples():
         ys = [y.as_rational() for y in theta(pts)]
         if len(set(ys)) < 3:
             continue
-        res = classify_critical_values(*ys)
+        res = classify_critical_values(cubic_and_fiber(*ys)[1])
         if not isinstance(res.exists, bool):
             continue  # elliptic j: characterization out of scope
         done += 1
         assert res.exists is True  # realized by the integral polynomial itself
         target = cvpoly(poly_from_critical_points(pts)).poly
-        lifts = all_lifts(*ys)
+        lifts = lifts_from_cvpoly(*cubic_and_fiber(*ys))
         for L in lifts:
             assert cvpoly(L).poly == target
 
@@ -240,19 +276,19 @@ def test_classify_false_means_no_lift():
               for _ in range(3)]
         if len(set(ys)) < 3:
             continue
-        res = classify_critical_values(*ys)
+        res = classify_critical_values(cubic_and_fiber(*ys)[1])
         if res.exists is not False:
             continue
         checked += 1
         with pytest.raises(NoRationalFiberPoint):
-            all_lifts(*ys)
+            lifts_from_cvpoly(*cubic_and_fiber(*ys))
 
 
 def test_two_fiber_points_give_two_inequivalent_lifts():
     from eqcrit.family import f_t
     for t in (Fraction(3), Fraction(-1, 3)):
         q1 = cvpoly(f_t(t)).poly
-        lifts = lifts_from_cvpoly(q1)
+        lifts = lifts_from_cvpoly(q1, critical_fiber(q1))
         assert len(lifts) == 2
         assert cvpoly(lifts[0]).poly == q1 == cvpoly(lifts[1]).poly
         assert affine_equivalent(lifts[0], lifts[1]).status == "Inequivalent"
@@ -260,7 +296,7 @@ def test_two_fiber_points_give_two_inequivalent_lifts():
 
 def test_lift_self_verification_and_first():
     ys = [y.as_rational() for y in theta([1, -2, 3])]
-    L = all_lifts(*ys)[0]
+    L = lifts_from_cvpoly(*cubic_and_fiber(*ys))[0]
     got = sorted(r for r in rational_roots(cvpoly(L).poly))
     assert got == sorted(ys)
 
@@ -269,13 +305,13 @@ def test_elliptic_target_best_effort():
     # v = 0 targets (cube-root transports): y^3 + 729/8 is reachable from
     # the designated j=0 curve with alpha = 1/2
     target = Poly(QQ, (Fraction(729, 8), 0, 0, 1))
-    lifts = lifts_from_cvpoly(target)
+    lifts = lifts_from_cvpoly(target, critical_fiber(target))
     assert lifts and all(cvpoly(L).poly == target for L in lifts)
     # the critical values of x^4 - x (j = 0 quadruple) are recovered through
     # the j0 = 1536 fiber point, giving a rational partner of x^4 - x
     p0 = Poly(QQ, (0, -1, 0, 0, 1))
     q1 = cvpoly(p0).poly
-    lifts = lifts_from_cvpoly(q1)
+    lifts = lifts_from_cvpoly(q1, critical_fiber(q1))
     assert len(lifts) == 1
     partner = lifts[0]
     assert cvpoly(partner).poly == q1
@@ -298,7 +334,7 @@ def test_rational_root_is_exact_for_large_inputs():
     assert _rational_root(Fraction(-4), 2) is None
     # the j = 0 transport needs that cube root: (10^30+1)(3x^4 + 12x)
     target = Poly(QQ, (729 * m ** 3, 0, 0, 1))
-    lifts = lifts_from_cvpoly(target)
+    lifts = lifts_from_cvpoly(target, critical_fiber(target))
     assert lifts and all(cvpoly(L).poly == target for L in lifts)
     assert Poly(QQ, (0, 12 * m, 0, 0, 3 * m)) in lifts
     assert time.time() - t0 < 10
